@@ -192,12 +192,9 @@ def _config_from(args, mode):
         raise ValueError(f"{mode} needs --config (JSON file or inline JSON)")
     obj = dict(obj)
     obj.setdefault("mode", mode)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.replicates is not None:
-        obj["replicates"] = args.replicates
-    if args.sigma is not None:
-        obj["sigma"] = args.sigma
+    for key in ("seed", "replicates", "sigma"):
+        if getattr(args, key, None) is not None:  # path has no --replicates
+            obj[key] = getattr(args, key)
     return config_from_json(obj)
 
 
@@ -294,12 +291,13 @@ def build_parser():
         p.add_argument("--config", help="JSON config file (or inline JSON)")
         p.add_argument("--out", help=f"output CSV (default: ${_OUTDIR_ENV} or cwd)")
         p.add_argument("--gnuplot", action="store_true", help="also write a .gp plot script")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--sigma", type=float, default=None)
         if needs_shape:
             p.add_argument("--delta", type=float, default=None)
             p.add_argument("--epsilon", type=float, default=None)
             p.add_argument("--n-points", type=int, default=None, dest="n_points")
+        else:
+            p.add_argument("--seed", type=int, default=None)
 
     pb = sub.add_parser("boundary", help="crescent edges for one shape")
     common(pb, needs_shape=True)
@@ -324,21 +322,13 @@ def build_parser():
     pp.set_defaults(func=_cmd_path)
 
     ps = sub.add_parser("simulate", help="replicated paths on a TPP grid")
-    common(ps)
-    ps.add_argument("--replicates", type=int, default=None)
-    ps.add_argument("--jobs", type=int, default=1)
     ps.set_defaults(func=_cmd_simulate)
-
     pr = sub.add_parser("rank", help="first-false-selection rank experiment")
-    common(pr)
-    pr.add_argument("--replicates", type=int, default=None)
-    pr.add_argument("--jobs", type=int, default=1)
     pr.set_defaults(func=_cmd_rank)
-
-    # flags shared by signatures but not every subcommand
-    for p in (pb, pc, pp):
-        p.add_argument("--replicates", type=int, default=None, help=argparse.SUPPRESS)
-        p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
+    for p in (ps, pr):
+        common(p)
+        p.add_argument("--replicates", type=int, default=None)
+        p.add_argument("--jobs", type=int, default=1, help="worker processes")
     return parser
 
 

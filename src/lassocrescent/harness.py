@@ -13,10 +13,19 @@ Two experiment modes:
   the largest TPP not exceeding it, latest such event in path order), then
   averaged across replicates.
 * ``rank``: early-stopped paths recording the first-false-selection rank,
-  optionally swept over a design or coefficient parameter.
+  optionally swept over a design or coefficient parameter (sweep value i
+  draws with tag i).
+
+Both modes run their replicates through one runner: in order in this process
+at ``jobs=1``, else on one process pool per experiment.  Results come back in
+replicate order, so outputs do not depend on ``jobs``.  One failure policy
+holds for both: if any replicate fails, the experiment raises RuntimeError
+naming the (seed, tag, replicate) key of every failed replicate.
 """
 
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -179,16 +188,15 @@ def load_design_file(path):
 
 def sample_design(spec, rng):
     """Draw a design matrix according to ``spec`` using generator ``rng``."""
-    scale = spec.scale
     if spec.kind == "iid_gaussian":
-        return rng.normal(0.0, math.sqrt(scale), size=(spec.n, spec.p))
+        return rng.normal(0.0, math.sqrt(spec.scale), size=(spec.n, spec.p))
     if spec.kind == "bernoulli_pm":
-        return (2.0 * rng.integers(0, 2, size=(spec.n, spec.p)) - 1.0) * math.sqrt(scale)
+        return (2.0 * rng.integers(0, 2, size=(spec.n, spec.p)) - 1.0) * math.sqrt(spec.scale)
     if spec.kind == "correlated_gaussian":
         if spec.structure == "toeplitz":
-            cov = scale * toeplitz(spec.rho ** np.arange(spec.p))
+            cov = spec.scale * toeplitz(spec.rho ** np.arange(spec.p))
         else:
-            cov = scale * ((1.0 - spec.rho) * np.eye(spec.p) + spec.rho)
+            cov = spec.scale * ((1.0 - spec.rho) * np.eye(spec.p) + spec.rho)
         upper = cholesky(cov, lower=False)
         return rng.standard_normal((spec.n, spec.p)) @ upper
     # genotype_file: real matrix, jittered to break exact duplicates, then
@@ -262,8 +270,8 @@ def _simulate_instance(config, rep_id, tag=0, design=None, coefficients=None):
     return X, y, support
 
 
-def _tradeoff_replicate(config, rep_id):
-    X, y, support = _simulate_instance(config, rep_id)
+def _tradeoff_replicate(config, tag, rep_id):
+    X, y, support = _simulate_instance(config, rep_id, tag=tag)
     # The grid never goes past max(tpp_grid), so the path can stop once the
     # active set is comfortably larger than the discoveries needed there;
     # fall back to the unrestricted path in the rare case the cap was hit
@@ -272,7 +280,7 @@ def _tradeoff_replicate(config, rep_id):
     cap = min(n - 1, X.shape[1], 2 * len(support) + 64)
     path = lasso_path(X, y, max_active=cap)
     samples = tpp_fdp_along_path(path, support)
-    if cap < min(n - 1, X.shape[1]) and config.tpp_grid:
+    if cap < min(n - 1, X.shape[1]):
         reached = max((s[1] for s in samples), default=0.0)
         if reached < config.tpp_grid[-1] and path.stopping_reason == "max_active":
             path = lasso_path(X, y)
@@ -281,14 +289,14 @@ def _tradeoff_replicate(config, rep_id):
     fdps = [s[2] for s in samples]
     return ReplicateResult(
         replicate_id=rep_id,
-        seed_key=(config.seed, 0, rep_id),
+        seed_key=(config.seed, tag, rep_id),
         n_events=len(path.events),
         stopping_reason=path.stopping_reason,
         grid_fdp=fdp_on_grid(tpps, fdps, config.tpp_grid),
     )
 
 
-def _rank_replicate(config, rep_id, tag, design, coefficients):
+def _rank_replicate(config, tag, rep_id, design, coefficients):
     X, y, support = _simulate_instance(
         config, rep_id, tag=tag, design=design, coefficients=coefficients
     )
@@ -304,48 +312,33 @@ def _rank_replicate(config, rep_id, tag, design, coefficients):
     )
 
 
-def _run_replicates(worker, rep_ids, jobs):
-    results, failures = [], []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rep, res in zip(rep_ids, pool.map(worker, rep_ids)):
-                if isinstance(res, Exception):
-                    failures.append((rep, res))
-                else:
-                    results.append(res)
-    else:
-        for rep in rep_ids:
+def _run_tasks(tasks, jobs):
+    """Run replicate tasks ``(function, (config, tag, rep_id, ...))`` and
+    return their results in task order: one after another in this process at
+    ``jobs=1``, on one pool of ``jobs`` worker processes otherwise.
+
+    Every task runs.  If any failed, raises RuntimeError naming the
+    (seed, tag, replicate) key of each failure, chained to the first one.
+    """
+    results, failed = [], []
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
+        calls = [
+            pool.submit(fn, *args).result if pool else functools.partial(fn, *args)
+            for fn, args in tasks
+        ]
+        for (_, (config, tag, rep_id, *_)), call in zip(tasks, calls):
             try:
-                results.append(worker(rep))
-            except Exception as exc:  # noqa: BLE001 - tallied and re-raised below
-                failures.append((rep, exc))
-    return results, failures
-
-
-class _TradeoffWorker:
-    """Picklable replicate runner (ProcessPoolExecutor needs a top-level
-    callable; an instance with a config works)."""
-
-    def __init__(self, config):
-        self.config = config
-
-    def __call__(self, rep_id):
-        try:
-            return _tradeoff_replicate(self.config, rep_id)
-        except Exception as exc:  # noqa: BLE001
-            return exc
-
-
-class _RankWorker:
-    def __init__(self, config, tag, design, coefficients):
-        self.args = (config, tag, design, coefficients)
-
-    def __call__(self, rep_id):
-        config, tag, design, coefficients = self.args
-        try:
-            return _rank_replicate(config, rep_id, tag, design, coefficients)
-        except Exception as exc:  # noqa: BLE001
-            return exc
+                results.append(call())
+            except Exception as exc:  # noqa: BLE001 - every failure is named below
+                failed.append(((config.seed, tag, rep_id), exc))
+    if failed:
+        first = failed[0][1]
+        raise RuntimeError(
+            f"{len(failed)} of {len(tasks)} replicates failed at (seed, tag, replicate) "
+            f"{', '.join(str(key) for key, _ in failed)}; first failure: "
+            f"{type(first).__name__}: {first}"
+        ) from first
+    return results
 
 
 @dataclass(frozen=True)
@@ -353,27 +346,20 @@ class TradeoffSummary:
     tpp_grid: tuple
     mean_fdp: np.ndarray
     se_fdp: np.ndarray
-    n_ok: int
+    n_ok: int  # replicates averaged; always config.replicates
     replicates: list
 
 
 def run_tradeoff_experiment(config, jobs=1):
     """Average path FDP over replicates on the configured TPP grid.
 
-    Aborts (RuntimeError) when more than 10% of replicates fail; individual
-    failures below that are dropped from the averages but counted in n_ok.
+    All replicates share tag 0 and run on ``jobs`` processes.  Any failed
+    replicate aborts the experiment with RuntimeError (see ``_run_tasks``).
     """
     if config.mode != "tradeoff":
         raise ValueError(f"config.mode is {config.mode!r}, expected 'tradeoff'")
-    rep_ids = list(range(config.replicates))
-    results, failures = _run_replicates(_TradeoffWorker(config), rep_ids, jobs)
-    if len(failures) > 0.1 * config.replicates:
-        rep, exc = failures[0]
-        raise RuntimeError(
-            f"{len(failures)}/{config.replicates} replicates failed; "
-            f"first failure (replicate {rep}): {exc}"
-        ) from exc
-    results.sort(key=lambda r: r.replicate_id)
+    tasks = [(_tradeoff_replicate, (config, 0, rep)) for rep in range(config.replicates)]
+    results = _run_tasks(tasks, jobs)
     mat = np.vstack([r.grid_fdp for r in results])
     n_ok = mat.shape[0]
     mean = mat.mean(axis=0)
@@ -393,8 +379,11 @@ class RankSummary:
 def run_rank_experiment(config, jobs=1):
     """First-false-rank statistics, optionally swept over k or rho.
 
-    Censored replicates enter the statistics at rank k+1 (flagged, never
-    dropped).  Without a sweep the single row uses the configured spec.
+    Sweep value i draws its replicates with tag i; the replicates of every
+    value run on one pool of ``jobs`` processes.  Any failed replicate aborts
+    the experiment with RuntimeError (see ``_run_tasks``).  Censored
+    replicates enter the statistics at rank k+1 (flagged, never dropped).
+    Without a sweep the single row uses the configured spec.
     """
     if config.mode != "rank":
         raise ValueError(f"config.mode is {config.mode!r}, expected 'rank'")
@@ -411,18 +400,17 @@ def run_rank_experiment(config, jobs=1):
     else:
         settings = [(float(config.coefficients.k), config.design, config.coefficients)]
 
+    reps = config.replicates
+    tasks = [
+        (_rank_replicate, (config, tag, rep, design, coefficients))
+        for tag, (_, design, coefficients) in enumerate(settings)
+        for rep in range(reps)
+    ]
+    results = _run_tasks(tasks, jobs)
     rows, reps_by_value = [], {}
-    rep_ids = list(range(config.replicates))
-    for tag, (value, design, coefficients) in enumerate(settings):
-        worker = _RankWorker(config, tag, design, coefficients)
-        results, failures = _run_replicates(worker, rep_ids, jobs)
-        if failures:
-            rep, exc = failures[0]
-            raise RuntimeError(
-                f"rank replicate {rep} at sweep value {value} failed: {exc}"
-            ) from exc
-        results.sort(key=lambda r: r.replicate_id)
-        ranks = np.array([r.rank for r in results], dtype=float)
+    for tag, (value, _, _) in enumerate(settings):
+        chunk = results[tag * reps : (tag + 1) * reps]
+        ranks = np.array([r.rank for r in chunk], dtype=float)
         rows.append(
             (
                 float(value),
@@ -430,10 +418,10 @@ def run_rank_experiment(config, jobs=1):
                 float(np.median(ranks)),
                 float(np.quantile(ranks, 0.1)),
                 float(np.quantile(ranks, 0.9)),
-                int(sum(r.censored for r in results)),
+                int(sum(r.censored for r in chunk)),
             )
         )
-        reps_by_value[float(value)] = results
+        reps_by_value[float(value)] = chunk
     return RankSummary(sweep_param=config.sweep_param, rows=rows, replicates=reps_by_value)
 
 

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from lassocrescent.cli import main
+
 TINY_SIM_CONFIG = {
     "design": {"kind": "iid_gaussian", "n": 40, "p": 40},
     "coefficients": {"kind": "equal", "magnitude": 10.0, "k": 5},
@@ -267,3 +269,45 @@ def test_malformed_config_exit_code(tmp_path):
     assert res.returncode == 2
     res_missing = run_cli(["simulate"], outdir=tmp_path)
     assert res_missing.returncode == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["simulate", "rank"])
+def test_failed_replicate_exit_code(tmp_path, command, jobs):
+    fpath = tmp_path / "geno.csv"
+    np.savetxt(fpath, np.random.default_rng(8).integers(0, 3, size=(40, 7)), delimiter=",")
+    config = {
+        "design": {"kind": "genotype_file", "path": str(fpath)},
+        "coefficients": {"kind": "equal", "p": 7, "magnitude": 5.0, "k": 2},
+        "replicates": 2,
+        "seed": 9,
+        "tpp_grid": [0.5],
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    fpath.unlink()  # every replicate now fails while reading its design
+    res = run_cli([command, "--config", str(cfg_path), "--jobs", jobs], outdir=tmp_path)
+    assert res.returncode == 4
+    assert "solver failure" in res.stderr
+    assert "(9, 0, 1)" in res.stderr
+    assert "FileNotFoundError" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundary", "--delta", "1", "--epsilon", "0.2", "--seed", "1"],
+        ["boundary", "--delta", "1", "--epsilon", "0.2", "--replicates", "2"],
+        ["boundary", "--delta", "1", "--epsilon", "0.2", "--jobs", "2"],
+        ["curve", "--delta", "1", "--epsilon", "0.2", "--seed", "1"],
+        ["curve", "--delta", "1", "--epsilon", "0.2", "--replicates", "2"],
+        ["curve", "--delta", "1", "--epsilon", "0.2", "--jobs", "2"],
+        ["path", "--config", "{}", "--replicates", "2"],
+        ["path", "--config", "{}", "--jobs", "2"],
+    ],
+)
+def test_removed_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -313,6 +313,62 @@ def test_run_rank_experiment_sweep_rho():
     assert [row[0] for row in summary.rows] == [0.0, 0.5]
 
 
+def test_run_rank_experiment_rho_sweep_jobs_invariant():
+    config = ExperimentConfig(
+        design=DesignSpec(kind="correlated_gaussian", n=40, p=40, rho=0.0),
+        coefficients=CoefficientSpec(kind="equal", p=40, magnitude=5.0, k=10),
+        sigma=0.0,
+        replicates=3,
+        seed=7,
+        mode="rank",
+        sweep_param="rho",
+        sweep_values=(0.0, 0.3, 0.6),
+    )
+    serial = run_rank_experiment(config, jobs=1)
+    pooled = run_rank_experiment(config, jobs=2)
+    assert pooled.rows == serial.rows
+    for tag, value in enumerate((0.0, 0.3, 0.6)):
+        assert pooled.replicates[value] == serial.replicates[value]
+        assert [r.seed_key for r in serial.replicates[value]] == [(7, tag, r) for r in range(3)]
+    # the sweep values draw different instances, so they must not all agree
+    assert len({row[1:] for row in serial.rows}) > 1
+
+
+def _unreadable_design_config(tmp_path, mode):
+    """A config whose genotype file is deleted after the config is built, so
+    every replicate fails while sampling its design."""
+    fpath = tmp_path / "geno.csv"
+    np.savetxt(fpath, np.random.default_rng(8).integers(0, 3, size=(40, 7)), delimiter=",")
+    config = ExperimentConfig(
+        design=DesignSpec(kind="genotype_file", n=40, p=7, path=str(fpath)),
+        coefficients=CoefficientSpec(kind="equal", p=7, magnitude=5.0, k=2),
+        sigma=0.1,
+        replicates=2,
+        seed=9,
+        mode=mode,
+        tpp_grid=(0.5,) if mode == "tradeoff" else (),
+        sweep_param="k" if mode == "rank" else "",
+        sweep_values=(1, 2) if mode == "rank" else (),
+    )
+    fpath.unlink()
+    return config
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mode", ["tradeoff", "rank"])
+def test_failed_replicates_abort_naming_every_key(tmp_path, mode, jobs):
+    config = _unreadable_design_config(tmp_path, mode)
+    run = run_tradeoff_experiment if mode == "tradeoff" else run_rank_experiment
+    with pytest.raises(RuntimeError) as info:
+        run(config, jobs=jobs)
+    tags = (0,) if mode == "tradeoff" else (0, 1)
+    message = str(info.value)
+    for tag in tags:
+        for rep in range(2):
+            assert str((9, tag, rep)) in message
+    assert isinstance(info.value.__cause__, FileNotFoundError)
+
+
 # --- JSON configs --------------------------------------------------------------------
 
 
