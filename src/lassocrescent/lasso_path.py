@@ -10,8 +10,12 @@ O(np) correlation update plus O(|A|^2) triangular work.
 
 Tie handling: candidates within 1e-12 (relative) of the winning breakpoint
 are grouped; a drop is processed before an add, and otherwise the lowest
-variable index wins.  Coefficients within 1e-12 of zero are treated as zero
-in support computations.
+variable index wins.  A variable dropped at one event may re-enter at the
+next only with the opposite sign (the LARS-Lasso rule, Efron et al. 2004,
+section 3): its correlation meets the penalty level with the old sign exactly
+at the drop, and rounding could otherwise put that root just below it.
+Coefficients within 1e-12 of zero are treated as zero in support
+computations.
 """
 
 import math
@@ -208,6 +212,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     d = record("add", j0)
     stopping = None
     lambda_min_valid = lambda_floor
+    dropped = None  # (variable, sign) removed at the previous event
 
     if allowed is not None and j0 not in allowed:
         stopping, lambda_min_valid = "first_false", lam
@@ -243,6 +248,9 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             with np.errstate(divide="ignore", invalid="ignore"):
                 plus = (cj - lam * aj) / (1.0 - aj)
                 minus = (lam * aj - cj) / (1.0 + aj)
+            if dropped is not None:  # no same-sign re-entry right after a drop
+                j, s = dropped
+                (plus if s > 0 else minus)[idx == j] = np.nan
             for cand in (plus, minus):
                 ok = np.isfinite(cand) & (cand > 0.0) & (cand < lam - window)
                 if not np.any(ok):
@@ -275,11 +283,12 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             _chol_delete(L, k_act, cand_pos)
             XA[:, cand_pos : k_act - 1] = XA[:, cand_pos + 1 : k_act]
             active.pop(cand_pos)
-            signs.pop(cand_pos)
+            dropped = (cand_var, signs.pop(cand_pos))
             inactive_mask[cand_var] = True
             beta = np.delete(beta, cand_pos)
             d = record("drop", cand_var)
         else:
+            dropped = None
             beta = add_variable(cand_var)
             d = record("add", cand_var)
             if allowed is not None and cand_var not in allowed:

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from lassocrescent import (
+    CoefficientSpec,
     DegenerateDesignError,
+    DesignSpec,
     coefficients_at,
     first_false_rank,
     lasso_path,
+    replicate_rng,
     residual_correlations,
+    sample_coefficients,
+    sample_design,
     soft_threshold,
     tpp_fdp_along_path,
 )
@@ -244,3 +249,23 @@ def test_path_handles_drops():
                 assert _kkt_violation(X, y, coef, ev.lam) < 1e-8
             break
     assert seen_drop, "no drop event in 40 correlated instances"
+
+
+def test_dropped_variable_does_not_reenter_at_next_event():
+    # A strong equal ladder at n = p = 1000 drops variable 548 at event 232.
+    # Its correlation then sits ~4e-12 below the penalty level, which is
+    # inside the rounding error of correlations of size lambda_max ~ 2e3;
+    # letting it re-enter at the next event with the wrong direction broke
+    # KKT by ~2 lambda on every later event.
+    rng_x, rng_b, rng_z = replicate_rng(1, 0)
+    X = sample_design(DesignSpec(kind="iid_gaussian", n=1000, p=1000), rng_x)
+    beta, _ = sample_coefficients(
+        CoefficientSpec(kind="equal", p=1000, magnitude=1000.0, k=200), rng_b
+    )
+    y = X @ beta + 0.01 * rng_z.standard_normal(1000)
+    path = lasso_path(X, y, max_active=464)
+    assert (path.events[232].kind, path.events[232].variable) == ("drop", 548)
+    assert path.events[233].variable != 548
+    limit = 1e-8 * max(1.0, path.lambda_max)
+    for ev in path.events:
+        assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
