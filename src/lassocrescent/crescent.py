@@ -326,6 +326,12 @@ def touching_points(gamma, shape):
         raise ValueError(f"gamma sums to {sum(gamma)}, expected 1")
     suffix = np.cumsum(gamma[::-1])[::-1]  # suffix[i] = gamma_i + ... + gamma_m
 
+    def tail(u):
+        try:
+            return normal_cdf(-t_delta(u, shape))
+        except DivergingRootError:  # threshold beyond the scan cap: no tail mass
+            return 0.0
+
     points = []
     for g in suffix:
         if g >= 1.0 - 1e-15:
@@ -334,11 +340,7 @@ def touching_points(gamma, shape):
             u = 0.5 * (1.0 + g)
             converged = False
             for _ in range(200):
-                try:
-                    tail = normal_cdf(-t_delta(u, shape))
-                except DivergingRootError:
-                    tail = 0.0
-                nxt = 0.5 * u + 0.5 * (2.0 * tail * (1.0 - g) + g)
+                nxt = 0.5 * u + 0.5 * (2.0 * tail(u) * (1.0 - g) + g)
                 if abs(nxt - u) < 1e-13:
                     u = nxt
                     converged = True
@@ -348,8 +350,7 @@ def touching_points(gamma, shape):
                 raise ConvergenceError(
                     f"touching-point iteration stalled at u = {u} for suffix mass {g}"
                 )
-            tail = normal_cdf(-t_delta(u, shape))
-            resid = u - (2.0 * tail * (1.0 - g) + g)
+            resid = u - (2.0 * tail(u) * (1.0 - g) + g)
             if abs(resid) > _EQ_TOL:
                 raise ConvergenceError(
                     f"touching-point residual {resid:.2e} at suffix mass {g}"

@@ -196,6 +196,18 @@ def test_touching_points_two_masses_frozen():
     assert pts[1][0] == 1.0
 
 
+def test_touching_points_tiny_suffix_masses():
+    # suffix masses of ~0.002 push t_delta past its scan cap; the final
+    # residual check must use the same zero-tail limit as the iteration
+    gamma = [0.5736725315817366, 0.31013495884975584, 0.11183897626176695,
+             0.0024298878750228813, 0.0019236454317179007]
+    pts = touching_points(gamma, ModelShape(1.8868386382108695, 0.19707059313819575))
+    us = [u for u, _ in pts]
+    assert len(us) == 5
+    assert np.all(np.diff(us) > 0)
+    assert us[-1] == 1.0
+
+
 def test_touching_points_validation():
     with pytest.raises(ValueError):
         touching_points([], SHAPE)
