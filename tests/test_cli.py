@@ -247,7 +247,8 @@ def test_gnuplot_script(tmp_path):
     assert res.returncode == 0, res.stderr
     gp = str(out) + ".gp"
     assert gp in res.stdout
-    body = open(gp).read()
+    with open(gp) as fh:
+        body = fh.read()
     assert "set datafile separator ','" in body
     assert str(out) in body
 

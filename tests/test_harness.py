@@ -334,9 +334,9 @@ def test_run_rank_experiment_rho_sweep_jobs_invariant():
     assert len({row[1:] for row in serial.rows}) > 1
 
 
-def _unreadable_design_config(tmp_path, mode):
-    """A config whose genotype file is deleted after the config is built, so
-    every replicate fails while sampling its design."""
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mode", ["tradeoff", "rank"])
+def test_failed_replicates_abort_naming_every_key(tmp_path, mode, jobs):
     fpath = tmp_path / "geno.csv"
     np.savetxt(fpath, np.random.default_rng(8).integers(0, 3, size=(40, 7)), delimiter=",")
     config = ExperimentConfig(
@@ -350,14 +350,7 @@ def _unreadable_design_config(tmp_path, mode):
         sweep_param="k" if mode == "rank" else "",
         sweep_values=(1, 2) if mode == "rank" else (),
     )
-    fpath.unlink()
-    return config
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("mode", ["tradeoff", "rank"])
-def test_failed_replicates_abort_naming_every_key(tmp_path, mode, jobs):
-    config = _unreadable_design_config(tmp_path, mode)
+    fpath.unlink()  # every replicate now fails while sampling its design
     run = run_tradeoff_experiment if mode == "tradeoff" else run_rank_experiment
     with pytest.raises(RuntimeError) as info:
         run(config, jobs=jobs)
