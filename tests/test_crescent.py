@@ -14,6 +14,7 @@ from lassocrescent import (
     excess_prob,
     mse_null,
     mse_signal,
+    noiseless_alpha_floor,
     normal_cdf,
     q_delta,
     q_nabla,
@@ -82,6 +83,13 @@ def test_varsigma_frozen_and_identity():
     assert abs(resid) < 1e-9
     # and via independent quadrature
     assert vs == pytest.approx(varsigma_scan(2.2, 1.0, 0.2), abs=1e-9)
+    # just above the noiseless floor the root lies far out, so the bracket
+    # has to grow; the equation is flat there, hence the looser scan match
+    a = noiseless_alpha_floor(SHAPE) + 1e-8
+    vs = varsigma(a, SHAPE)
+    assert vs == pytest.approx(5.545690397161071, abs=1e-10)
+    assert abs(0.8 * mse_null(a) + 0.2 * mse_signal(vs + a, a) - 1.0) < 1e-9
+    assert vs == pytest.approx(varsigma_scan(a, 1.0, 0.2), abs=1e-6)
 
 
 def test_varsigma_matches_homogeneous_calibration():
@@ -108,6 +116,32 @@ def test_t_nabla_frozen_and_scan():
     assert vs == pytest.approx(varsigma(alpha, SHAPE), abs=1e-10)
     a_scan, _ = t_nabla_scan(0.5, 1.0, 0.2)
     assert alpha == pytest.approx(a_scan, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "u, frozen, a_max",
+    [(1e-40, 15.54698934892496, 16.0), (1e-200, 32.441662157079435, 33.0)],
+)
+def test_t_nabla_below_table(u, frozen, a_max):
+    # u below the cached table: the bracket is grown past its last entry
+    alpha, vs = t_nabla(u, SHAPE)
+    assert alpha == pytest.approx(frozen, abs=1e-9)
+    assert excess_prob(vs + alpha, alpha) == pytest.approx(u, rel=1e-9)
+    assert alpha == pytest.approx(t_nabla_scan(u, 1.0, 0.2, a_max=a_max)[0], abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "u, frozen", [(1.0 - 1e-9, 1.9880129090104814), (1.0, 1.988012908337557)]
+)
+def test_t_nabla_above_table(u, frozen):
+    # u above the cached table: the lower end walks toward the noiseless
+    # floor, where u -> 1; at u = 1 the walk stops one step off the floor
+    floor = noiseless_alpha_floor(SHAPE)
+    alpha, vs = t_nabla(u, SHAPE)
+    assert alpha == pytest.approx(frozen, abs=1e-12)
+    assert floor < alpha < floor + 1e-9
+    assert excess_prob(vs + alpha, alpha) == pytest.approx(u, abs=1e-12)
+    assert vs == varsigma(alpha, SHAPE)
 
 
 def test_q_nabla_frozen_both_shapes():

@@ -1,10 +1,13 @@
 """Golden CLI outputs: small fixed-seed runs must reproduce the CSVs in
 ``tests/golden/`` byte for byte, at every worker count.
 
-The files were written by the command line tool before the harness runner was
-refactored, so they pin its numbers across refactors.  To rewrite them after
-a deliberate change of the numbers, run ``python tests/test_golden.py`` (with
-the package importable) and state the change.
+The simulation files were written by the command line tool before the harness
+runner was refactored, and the ``boundary``/``curve`` files before the theory
+half's bracket walks were merged, so they pin the numbers across refactors.
+Every file a run writes next to its CSV (such as ``.touching.csv``) is
+compared too.  To rewrite them after a deliberate change of the numbers, run
+``python tests/test_golden.py`` (with the package importable) and state the
+change.
 """
 
 import json
@@ -48,8 +51,25 @@ RANK_RHO_CONFIG = {
     "sweep_values": [0.0, 0.3, 0.6],
 }
 
+SHAPE_ARGS = ["--delta", "1", "--epsilon", "0.2"]
+
 # golden file -> (command line without --out, worker counts it must hold at)
 CASES = {
+    "boundary.csv": (
+        ["boundary", *SHAPE_ARGS, "--n-points", "99", "--touching", "0.2,0.2,0.2,0.2,0.2"],
+        (None,),
+    ),
+    "curve_sigma0.csv": (
+        ["curve", *SHAPE_ARGS, "--prior", '{"kind": "heterogeneous", "m": 3, "base": 4}'],
+        (None,),
+    ),
+    "curve_sigma05.csv": (
+        [
+            "curve", "--delta", "0.5", "--epsilon", "0.1", "--sigma", "0.5",
+            "--prior", '{"kind": "levels", "values": [1, 3, -8]}',
+        ],
+        (None,),
+    ),
     "simulate.csv": (["simulate", "--config", json.dumps(SIM_CONFIG)], (1, 2)),
     "rank_k.csv": (["rank", "--config", json.dumps(RANK_K_CONFIG)], (1, 2)),
     "rank_rho.csv": (["rank", "--config", json.dumps(RANK_RHO_CONFIG)], (1, 2)),
@@ -57,27 +77,33 @@ CASES = {
 }
 
 
-def run_case(name, jobs, out):
+def outputs(directory, name):
+    """The CSV ``name`` in ``directory`` and the files written next to it."""
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).glob(name + "*"))}
+
+
+def run_case(name, jobs, outdir):
     args, _ = CASES[name]
+    out = Path(outdir) / name
     args = args + ["--out", str(out)] + ([] if jobs is None else ["--jobs", str(jobs)])
     res = subprocess.run(
         [sys.executable, "-m", "lassocrescent.cli"] + args, capture_output=True, text=True
     )
     assert res.returncode == 0, res.stderr
-    return Path(out).read_bytes()
+    return outputs(outdir, name)
 
 
 @pytest.mark.parametrize(
     "name, jobs", [(name, jobs) for name, (_, counts) in CASES.items() for jobs in counts]
 )
 def test_cli_output_matches_golden(tmp_path, name, jobs):
-    assert run_case(name, jobs, tmp_path / name) == (GOLDEN_DIR / name).read_bytes()
+    assert run_case(name, jobs, tmp_path) == outputs(GOLDEN_DIR, name)
 
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, (_, counts) in CASES.items():
-        outs = {jobs: run_case(name, jobs, GOLDEN_DIR / name) for jobs in counts}
-        if len(set(outs.values())) != 1:
+        outs = [run_case(name, jobs, GOLDEN_DIR) for jobs in counts]
+        if any(out != outs[0] for out in outs):
             sys.exit(f"{name}: output depends on the worker count")
-        print(GOLDEN_DIR / name)
+        print(*(GOLDEN_DIR / f for f in outs[0]), sep="\n")

@@ -18,7 +18,9 @@ from lassocrescent import (
     tradeoff_at_tpp,
     tradeoff_curve,
     tradeoff_point,
+    t_nabla,
 )
+from lassocrescent.state_evolution import _CurveSolver
 
 from oracles import alpha_min_scan, exceedance, fixed_point_tau
 
@@ -187,6 +189,12 @@ def test_solve_alpha_given_lambda_roundtrip():
     assert lambda_of_alpha(PRIOR1, pt.alpha, SHAPE) == pytest.approx(0.5, abs=1e-10)
     assert pt.lam == pytest.approx(0.5, abs=1e-10)
     assert pt.tau == pytest.approx(solve_tau_given_alpha(PRIOR1, pt.alpha, SHAPE), abs=1e-12)
+    # lambda(alpha) stays above 0.21 just over the floor, so the lower end
+    # has to shrink toward the floor twice before it brackets the root
+    pt = solve_alpha_given_lambda(PRIOR1, 0.21, SHAPE)
+    assert pt.alpha == pytest.approx(1.9880129666251507, abs=1e-12)
+    assert pt.tau == pytest.approx(0.13852581842544828, abs=1e-12)
+    assert all(abs(r) < 1e-10 for r in equation_residuals(PRIOR1, pt))
 
 
 def test_solve_alpha_given_lambda_validation():
@@ -196,6 +204,9 @@ def test_solve_alpha_given_lambda_validation():
         solve_alpha_given_lambda(PRIOR1, -1.0, SHAPE)
     with pytest.raises(InfeasibleRegionError, match="achievable"):
         solve_alpha_given_lambda(PRIOR1, 1e30, SHAPE)
+    # lambda stays near 0.16 as alpha falls to the noiseless floor
+    with pytest.raises(InfeasibleRegionError, match="below the achievable"):
+        solve_alpha_given_lambda(PRIOR1, 1e-4, SHAPE)
 
 
 # --- asymptotic trade-off ---------------------------------------------------
@@ -234,6 +245,14 @@ def test_tradeoff_at_tpp_frozen():
     u_back, q_back = tradeoff_point(PRIOR1, alpha, SHAPE)
     assert u_back == pytest.approx(0.5, abs=1e-9)
     assert q_back == pytest.approx(q, abs=1e-9)
+    # a low TPP needs the upper alpha end grown past its starting point;
+    # the homogeneous prior's curve is the crescent's upper edge
+    u, q, alpha, tau = tradeoff_at_tpp(PRIOR1, SHAPE, 1e-3)
+    assert u == pytest.approx(1e-3, abs=1e-15)
+    assert q == pytest.approx(0.0004002340294054955, abs=1e-15)
+    assert alpha == pytest.approx(5.32654485400956, abs=1e-12)
+    assert tau == pytest.approx(0.44716468678214233, abs=1e-12)
+    assert alpha == pytest.approx(t_nabla(1e-3, SHAPE)[0], abs=1e-9)
 
 
 def test_tradeoff_at_tpp_out_of_range():
@@ -241,6 +260,17 @@ def test_tradeoff_at_tpp_out_of_range():
         tradeoff_at_tpp(PRIOR1, SHAPE, 0.9999999)
     with pytest.raises(InfeasibleRegionError):
         tradeoff_at_tpp(PRIOR1, SHAPE, 0.0)
+
+
+def test_feasible_alpha_lo_grows_to_positive_penalty():
+    # no prior found so far has a nonpositive penalty at max(2 alpha, 1), so
+    # the upward walk is driven by a stand-in penalty with its root at 5
+    solver = _CurveSolver(PRIOR1, SHAPE)
+    solver.lam = lambda a: a - 5.0
+    assert solver.feasible_alpha_lo() == 5.0 + 5e-9
+    solver.lam = lambda a: -1.0
+    with pytest.raises(InfeasibleRegionError, match="never becomes positive"):
+        solver.feasible_alpha_lo()
 
 
 def test_tradeoff_curve_monotone():
