@@ -40,7 +40,7 @@ from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DivergingRootError, InfeasibleRegionError
 from .gauss import excess_prob, mse_null, mse_signal, normal_cdf
-from .state_evolution import ModelShape, alpha_min, noiseless_alpha_floor
+from .state_evolution import ModelShape, _bracket_walk, alpha_min, noiseless_alpha_floor
 
 _T_MAX = 60.0
 _SCAN_STEP = 0.05
@@ -167,14 +167,10 @@ def varsigma(alpha, shape):
     def f(m):
         return mse_signal(m, alpha) - target
 
-    hi = alpha + 5.0
-    grow = 0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise ConvergenceError(f"failed to bracket mtilde at alpha = {alpha}")
-    mtilde = brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    walk = _bracket_walk(alpha + 5.0, lambda m: 2.0 * m, lambda m: f(m) <= 0.0, tries=61)
+    if walk is None:
+        raise ConvergenceError(f"failed to bracket mtilde at alpha = {alpha}")
+    mtilde = brentq(f, 0.0, walk[1], xtol=1e-13, rtol=8.9e-16)
     resid = (1.0 - eps) * mn + eps * mse_signal(mtilde, alpha) - shape.delta
     if abs(resid) > _EQ_TOL:
         raise ConvergenceError(f"upper-edge residual {resid:.2e} at alpha = {alpha}")
@@ -238,27 +234,24 @@ def t_nabla(u, shape):
     # us decreases with alpha: find the first table entry at or below u
     k = int(np.searchsorted(-us, -u))
     if k == 0:
-        # u above the whole table: push the lower end toward the floor
-        lo = alphas[0]
-        width = lo - floor
-        while gap(lo) < 0.0:
-            width /= 64.0
-            lo = floor + width
-            if width < 1e-15 * max(1.0, floor):
-                return lo, varsigma(lo, shape)
-        hi = alphas[0]
-        if lo == hi:
+        # u above the whole table: shrink the lower end's width above the
+        # floor; a width below the resolution ends the walk untested
+        tol = 1e-15 * max(1.0, floor)
+        _, width = _bracket_walk(
+            alphas[0] - floor,
+            lambda w: w / 64.0,
+            lambda w: w >= tol and gap(floor + w) < 0.0,
+        )
+        lo, hi = floor + width, alphas[0]
+        if width < tol or lo == hi:
             return lo, varsigma(lo, shape)
     elif k >= len(alphas):
-        lo = alphas[-1]
-        hi = 2.0 * lo
-        grow = 0
-        while gap(hi) > 0.0:
-            lo = hi
-            hi *= 2.0
-            grow += 1
-            if grow > 40:
-                raise ConvergenceError(f"failed to bracket upper-edge root at u = {u}")
+        walk = _bracket_walk(
+            2.0 * alphas[-1], lambda a: 2.0 * a, lambda a: gap(a) > 0.0, prev=alphas[-1]
+        )
+        if walk is None:
+            raise ConvergenceError(f"failed to bracket upper-edge root at u = {u}")
+        lo, hi = walk
     else:
         lo, hi = alphas[max(k - 1, 0)], alphas[k]
     alpha = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)

@@ -41,9 +41,9 @@ from .errors import ConvergenceError, InfeasibleRegionError
 from .gauss import excess_prob, mse_null, mse_signal, normal_cdf
 
 _RESIDUAL_TOL = 1e-10
-# theta = 1/tau search range.  Atom magnitudes up to ~1e15 push the solution
-# theta below 1e-14, so the expansion is allowed to run much further than the
-# starting decade in both directions.
+# Usable range of theta = 1/tau hints.  The bracket walk itself is bounded by
+# its step count (8**40 either way), not by a range: atom magnitudes of 1e15
+# and beyond push the solution theta far below 1e-14.
 _THETA_MIN = 1e-18
 _THETA_MAX = 1e18
 
@@ -173,6 +173,20 @@ class TradeoffCurve:
     shape: ModelShape
 
 
+def _bracket_walk(x, step, ahead, tries=41, prev=None):
+    """Step x -> step(x) while ahead(x) holds, testing at most ``tries`` points.
+
+    Returns (prev, x) for the first x where ``ahead`` fails, prev being the
+    point tested before it (the ``prev`` argument if x is the start), or None
+    when every point holds.
+    """
+    for _ in range(tries):
+        if not ahead(x):
+            return prev, x
+        prev, x = x, step(x)
+    return None
+
+
 def _require_matching_sparsity(prior, shape):
     if abs(prior.epsilon - shape.epsilon) > 1e-9:
         raise ValueError(
@@ -253,10 +267,11 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
     """Solve the first calibration equation for tau at threshold alpha.
 
     The equation is solved for theta = 1/tau, in which the normalized
-    residual is strictly increasing; the bracket is grown geometrically from
-    ``theta_hint`` (or an Pi-second-moment based default) before Brent
-    refinement.  Raises ``InfeasibleRegionError`` when alpha is at or below
-    the admissible lower bound for this shape.
+    residual is strictly increasing.  From ``theta_hint`` (or the default
+    1/sqrt(sigma^2 + E[Pi^2]/delta)) the bracket walks by factors of 8, at
+    most 40 times, toward the sign change before Brent refinement.  Raises
+    ``InfeasibleRegionError`` when alpha is at or below the admissible lower
+    bound for this shape.
     """
     _require_matching_sparsity(prior, shape)
     if not (math.isfinite(alpha) and alpha >= 0.0):
@@ -279,28 +294,23 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
     if theta_hint is not None and _THETA_MIN < theta_hint < _THETA_MAX:
         center = theta_hint
     else:
-        scale = math.sqrt(shape.sigma**2 + prior.second_moment() / shape.delta)
+        with np.errstate(over="ignore"):  # atoms beyond ~1e154 overflow the moment
+            scale = math.sqrt(shape.sigma**2 + prior.second_moment() / shape.delta)
+        if not math.isfinite(scale):  # hypot factors out max|v| instead
+            terms = prior.values * np.sqrt(prior.probs / shape.delta)
+            scale = math.hypot(shape.sigma, *terms)
         center = 1.0 / scale if scale > 0 else 1.0
-    lo = hi = center
-    g_lo = g(lo)
-    while g_lo > 0.0:
-        hi, lo = lo, lo / 8.0
-        if lo < _THETA_MIN:
-            raise ConvergenceError(
-                f"no sign change for tau equation down to theta = {_THETA_MIN}"
-            )
-        g_lo = g(lo)
-    g_hi = g(hi)
-    while g_hi < 0.0:
-        lo, hi = hi, hi * 8.0
-        if hi > _THETA_MAX:
-            raise ConvergenceError(
-                f"no sign change for tau equation up to theta = {_THETA_MAX}"
-            )
-        g_hi = g(hi)
-    if lo == hi:  # hint landed exactly on one side
-        lo = lo / 8.0
-    theta = brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    # The residual is exactly 0 over long stretches where it saturates, so
+    # each walk stops at the first point not strictly on its starting side.
+    if g(center) > 0.0:
+        walk = _bracket_walk(center, lambda t: t / 8.0, lambda t: g(t) > 0.0)
+    else:
+        walk = _bracket_walk(
+            center, lambda t: 8.0 * t, lambda t: g(t) < 0.0, prev=center / 8.0
+        )
+    if walk is None:
+        raise ConvergenceError(f"no sign change for tau equation near theta = {center}")
+    theta = brentq(g, min(walk), max(walk), xtol=1e-300, rtol=8.9e-16, maxiter=200)
     if abs(g(theta)) > _RESIDUAL_TOL:
         raise ConvergenceError(
             f"tau equation residual {g(theta):.2e} exceeds {_RESIDUAL_TOL} "
@@ -349,31 +359,22 @@ def solve_alpha_given_lambda(prior, lam, shape):
     def lam_at(a):
         return lambda_of_alpha(prior, a, shape)
 
-    a_lo = floor + max(1e-6, 1e-6 * floor)
-    lam_lo = lam_at(a_lo)
-    shrink = 0
-    while lam_lo >= lam:
-        a_lo = floor + (a_lo - floor) / 8.0
-        shrink += 1
-        if shrink > 40:
-            raise InfeasibleRegionError(
-                f"lambda = {lam} is below the achievable range "
-                f"(lambda({a_lo:.3e}) = {lam_lo:.3e} is already larger)"
-            )
-        lam_lo = lam_at(a_lo)
-    a_hi = max(2.0 * a_lo, 1.0)
-    lam_hi = lam_at(a_hi)
-    grow = 0
-    while lam_hi <= lam:
-        a_lo, lam_lo = a_hi, lam_hi
-        a_hi *= 2.0
-        grow += 1
-        if grow > 40:
-            raise InfeasibleRegionError(
-                f"lambda = {lam} exceeds the achievable range "
-                f"(lambda({a_hi:.3e}) = {lam_hi:.3e})"
-            )
-        lam_hi = lam_at(a_hi)
+    walk = _bracket_walk(
+        floor + max(1e-6, 1e-6 * floor),
+        lambda a: floor + (a - floor) / 8.0,
+        lambda a: lam_at(a) >= lam,
+    )
+    if walk is None:
+        raise InfeasibleRegionError(
+            f"lambda = {lam} is below the achievable range near alpha = {floor:.6g}"
+        )
+    a_lo = walk[1]
+    walk = _bracket_walk(
+        max(2.0 * a_lo, 1.0), lambda a: 2.0 * a, lambda a: lam_at(a) <= lam, prev=a_lo
+    )
+    if walk is None:
+        raise InfeasibleRegionError(f"lambda = {lam} exceeds the achievable range")
+    a_lo, a_hi = walk
     alpha = brentq(lambda a: lam_at(a) - lam, a_lo, a_hi, xtol=1e-13, rtol=8.9e-16)
     tau = solve_tau_given_alpha(prior, alpha, shape)
     return StateEvolutionPoint(alpha=alpha, tau=tau, lam=lam, shape=shape)
@@ -430,17 +431,14 @@ class _CurveSolver:
         a = self.floor + max(1e-7, 1e-7 * self.floor)
         if self.lam(a) > 0.0:
             return a
-        hi = max(2.0 * a, 1.0)
-        grow = 0
-        while self.lam(hi) <= 0.0:
-            a = hi
-            hi *= 2.0
-            grow += 1
-            if grow > 40:
-                raise InfeasibleRegionError(
-                    f"calibrated penalty never becomes positive for {self.shape}"
-                )
-        root = brentq(self.lam, a, hi, xtol=1e-13, rtol=8.9e-16)
+        walk = _bracket_walk(
+            max(2.0 * a, 1.0), lambda x: 2.0 * x, lambda x: self.lam(x) <= 0.0, prev=a
+        )
+        if walk is None:
+            raise InfeasibleRegionError(
+                f"calibrated penalty never becomes positive for {self.shape}"
+            )
+        root = brentq(self.lam, *walk, xtol=1e-13, rtol=8.9e-16)
         return root + max(1e-9, 1e-9 * root)
 
     def alpha_at_tpp(self, target, a_lo, a_hi):
@@ -465,12 +463,13 @@ def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
     a_min = solver.feasible_alpha_lo()
     u_max_ach = solver.tpp(a_min)
 
-    # expand the upper alpha end until the TPP drops below the requested low end
-    a_max = max(4.0 * a_min, 4.0)
-    while solver.tpp(a_max) > tpp_lo:
-        a_max *= 1.5
-        if a_max > 80.0:
-            break
+    # grow the upper alpha end until the TPP drops below the requested low
+    # end; the start is always tested, a later point past 80 ends the walk
+    a_start = max(4.0 * a_min, 4.0)
+    cap = max(a_start, 80.0)
+    _, a_max = _bracket_walk(
+        a_start, lambda a: 1.5 * a, lambda a: a <= cap and solver.tpp(a) > tpp_lo
+    )
     u_min_ach = solver.tpp(a_max)
 
     lo = max(tpp_lo, u_min_ach + 1e-12)
@@ -526,11 +525,14 @@ def tradeoff_at_tpp(prior, shape, tpp):
         raise InfeasibleRegionError(
             f"TPP = {tpp} outside achievable range (0, {solver.tpp(a_min):.6f})"
         )
-    a_hi = max(4.0 * a_min, 4.0)
-    while solver.tpp(a_hi) > tpp:
-        a_hi *= 1.5
-        if a_hi > 100.0:
-            raise ConvergenceError(f"failed to bracket TPP = {tpp} from above")
+    # grow the upper end as tradeoff_curve does; a point past 100 is an error
+    a_start = max(4.0 * a_min, 4.0)
+    cap = max(a_start, 100.0)
+    _, a_hi = _bracket_walk(
+        a_start, lambda a: 1.5 * a, lambda a: a <= cap and solver.tpp(a) > tpp
+    )
+    if a_hi > cap:
+        raise ConvergenceError(f"failed to bracket TPP = {tpp} from above")
     alpha = solver.alpha_at_tpp(tpp, a_min, a_hi)
     tau = solver.tau(alpha)
     u, q = _tradeoff_given_tau(prior, alpha, shape, tau)

@@ -116,32 +116,22 @@ def test_t_nabla_frozen_and_scan():
     assert vs == pytest.approx(varsigma(alpha, SHAPE), abs=1e-10)
     a_scan, _ = t_nabla_scan(0.5, 1.0, 0.2)
     assert alpha == pytest.approx(a_scan, abs=1e-8)
-
-
-@pytest.mark.parametrize(
-    "u, frozen, a_max",
-    [(1e-40, 15.54698934892496, 16.0), (1e-200, 32.441662157079435, 33.0)],
-)
-def test_t_nabla_below_table(u, frozen, a_max):
-    # u below the cached table: the bracket is grown past its last entry
-    alpha, vs = t_nabla(u, SHAPE)
-    assert alpha == pytest.approx(frozen, abs=1e-9)
-    assert excess_prob(vs + alpha, alpha) == pytest.approx(u, rel=1e-9)
-    assert alpha == pytest.approx(t_nabla_scan(u, 1.0, 0.2, a_max=a_max)[0], abs=1e-8)
-
-
-@pytest.mark.parametrize(
-    "u, frozen", [(1.0 - 1e-9, 1.9880129090104814), (1.0, 1.988012908337557)]
-)
-def test_t_nabla_above_table(u, frozen):
+    # u below the cached table: the bracket grows past its last entry
+    for u, frozen, a_max in [(1e-40, 15.54698934892496, 16.0),
+                             (1e-200, 32.441662157079435, 33.0)]:
+        alpha, vs = t_nabla(u, SHAPE)
+        assert alpha == pytest.approx(frozen, abs=1e-9)
+        assert excess_prob(vs + alpha, alpha) == pytest.approx(u, rel=1e-9)
+        assert alpha == pytest.approx(t_nabla_scan(u, 1.0, 0.2, a_max=a_max)[0], abs=1e-8)
     # u above the cached table: the lower end walks toward the noiseless
     # floor, where u -> 1; at u = 1 the walk stops one step off the floor
     floor = noiseless_alpha_floor(SHAPE)
-    alpha, vs = t_nabla(u, SHAPE)
-    assert alpha == pytest.approx(frozen, abs=1e-12)
-    assert floor < alpha < floor + 1e-9
-    assert excess_prob(vs + alpha, alpha) == pytest.approx(u, abs=1e-12)
-    assert vs == varsigma(alpha, SHAPE)
+    for u, frozen in [(1.0 - 1e-9, 1.9880129090104814), (1.0, 1.988012908337557)]:
+        alpha, vs = t_nabla(u, SHAPE)
+        assert alpha == pytest.approx(frozen, abs=1e-12)
+        assert floor < alpha < floor + 1e-9
+        assert excess_prob(vs + alpha, alpha) == pytest.approx(u, abs=1e-12)
+        assert vs == varsigma(alpha, SHAPE)
 
 
 def test_q_nabla_frozen_both_shapes():

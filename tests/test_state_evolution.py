@@ -1,12 +1,18 @@
 """Calibration fixed point, feasibility limits, and trade-off curves."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lassocrescent import (
+    ConvergenceError,
     DiscretePrior,
     InfeasibleRegionError,
     ModelShape,
+    StateEvolutionPoint,
     admissible_alpha_lower,
     alpha_min,
     equation_residuals,
@@ -15,10 +21,10 @@ from lassocrescent import (
     noiseless_alpha_floor,
     solve_alpha_given_lambda,
     solve_tau_given_alpha,
+    t_nabla,
     tradeoff_at_tpp,
     tradeoff_curve,
     tradeoff_point,
-    t_nabla,
 )
 from lassocrescent.state_evolution import _CurveSolver
 
@@ -150,6 +156,38 @@ def test_tau_negligible_signal_matches_null_closed_form():
     tau = solve_tau_given_alpha(prior, 2.0, shape)
     expected = 0.5 / np.sqrt(1.0 - mse_null(2.0) / 1.0)
     assert tau == pytest.approx(expected, rel=1e-10)
+
+
+def test_tau_overflowing_second_moment():
+    # atoms past ~1e154 overflow E[Pi^2]; the starting point must still be a
+    # positive theta.  With sigma = 0 the curve is scale-free in the atoms.
+    huge = tradeoff_curve(DiscretePrior.homogeneous(0.2, 1e200), SHAPE, 5)
+    ref = tradeoff_curve(DiscretePrior.homogeneous(0.2, 1e15), SHAPE, 5)
+    np.testing.assert_allclose(huge.tpp, ref.tpp, rtol=1e-9)
+    np.testing.assert_allclose(huge.fdp, ref.fdp, rtol=1e-9)
+    np.testing.assert_allclose(huge.tau, ref.tau * 1e185, rtol=1e-9)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    log_atoms=st.lists(st.floats(math.log(1e-3), math.log(1e15)), min_size=1, max_size=3),
+    sigma=st.floats(0.0, 2.0),
+    delta=st.floats(0.2, 3.0),
+    epsilon=st.floats(0.05, 0.5),
+    log10_gap=st.floats(-12.0, 1.0),
+)
+def test_tau_solve_returns_root_or_raises(log_atoms, sigma, delta, epsilon, log10_gap):
+    # atoms from 1e-3 to 1e15, alpha just above to well above the admissible
+    # lower bound: either a root that passes the residual check or a clean error
+    prior = DiscretePrior.from_levels(epsilon, sorted({math.exp(x) for x in log_atoms}))
+    shape = ModelShape(delta=delta, epsilon=epsilon, sigma=sigma)
+    alpha = admissible_alpha_lower(prior, shape) + 10.0**log10_gap
+    try:
+        tau = solve_tau_given_alpha(prior, alpha, shape)
+    except (InfeasibleRegionError, ConvergenceError):
+        return
+    r1, _ = equation_residuals(prior, StateEvolutionPoint(alpha, tau, 0.0, shape))
+    assert abs(r1) <= 1e-10
 
 
 def test_equation_residuals_vanish_at_solution():
