@@ -96,8 +96,6 @@ def _shape_from(args, obj, sigma_default=0.0):
 def _cmd_boundary(args):
     obj = _load_config_arg(args)
     shape = _shape_from(args, obj)
-    if shape.sigma != 0.0:
-        raise ValueError("boundary curves are noiseless; omit sigma or pass 0")
     n_points = args.n_points or 99
     points = crescent(shape, n_points=n_points)
     header = {

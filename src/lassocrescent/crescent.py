@@ -39,8 +39,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DivergingRootError, InfeasibleRegionError
-from .gauss import excess_prob, mse_null, mse_signal, normal_cdf
-from .state_evolution import ModelShape, _bracket_walk, alpha_min, noiseless_alpha_floor
+# Unchecked kernels, bound to the public names that perfbench/tracing.py wraps
+from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob
+from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
+from .state_evolution import ModelShape, _bracket_walk, _check_alpha, _fdp_at
+from .state_evolution import alpha_min, noiseless_alpha_floor
 
 _T_MAX = 60.0
 _SCAN_STEP = 0.05
@@ -62,12 +65,6 @@ class CrescentPoint:
     varsigma: float
     t_nabla: float
     q_nabla: float
-
-
-def _fdp_at(t, u, epsilon):
-    null_rate = 2.0 * (1.0 - epsilon) * normal_cdf(-t)
-    denom = null_rate + epsilon * u
-    return null_rate / denom if denom > 0.0 else 0.0
 
 
 def _lower_gap(t, u, shape):
@@ -148,8 +145,7 @@ def varsigma(alpha, shape):
     largest root m (the equation is strictly increasing in m >= 0, so the
     root is unique once it exists) and returns m - alpha.
     """
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
+    alpha = _check_alpha(alpha)
     eps = shape.epsilon
     mn = mse_null(alpha)
     target = (shape.delta - (1.0 - eps) * mn) / eps

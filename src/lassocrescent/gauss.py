@@ -6,6 +6,14 @@ normal pdf/cdf; they are written so that every product of a density with a
 polynomial factor is grouped before any subtraction, which keeps them accurate
 in the far tails (the terms underflow to zero together instead of cancelling).
 
+Each formula is written once, as an unchecked ``_`` kernel (``_pdf``,
+``_cdf``, ``_mills``, ``_excess_prob``, ``_mse_null``, ``_mse_signal``) that
+calls only other kernels and assumes finite input with nonnegative
+thresholds.  The solvers in ``state_evolution`` and ``crescent`` call the
+kernels, once their own entry points have checked the inputs.  The public
+functions check each argument once (finite; thresholds nonnegative), raise
+``ValueError`` otherwise, and return their kernel's result.
+
 Conventions
 -----------
 ``normal_cdf`` is evaluated through the complementary error function, which is
@@ -41,10 +49,53 @@ def _check_nonneg(name, x):
     return arr
 
 
+# --- unchecked kernels --------------------------------------------------------
+
+
+def _pdf(x):
+    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
+
+
+def _cdf(x):
+    return 0.5 * special.erfc(-x / _SQRT2)
+
+
+def _mills(alpha):
+    # Phi(-a) / phi(a) for a >= 0, computed without underflow via the
+    # scaled complementary error function.
+    return _SQRT_HALF_PI * special.erfcx(alpha / _SQRT2)
+
+
+def _excess_prob(t, alpha):
+    p = _cdf(t - alpha) + _cdf(-t - alpha)
+    # the two-tail sum can exceed 1 by an ulp when alpha ~ 0
+    return np.clip(p, 0.0, 1.0)
+
+
+def _mse_null(alpha):
+    bracket = (1.0 + np.square(alpha)) * _mills(alpha) - alpha
+    return 2.0 * _pdf(alpha) * bracket
+
+
+def _mse_signal(t, alpha):
+    a2 = np.square(alpha)
+    t2 = np.square(t)
+    val = (
+        (1.0 + a2) * (_cdf(t - alpha) + _cdf(-t - alpha))
+        + t2 * (_cdf(alpha - t) - _cdf(-alpha - t))
+        - (alpha + t) * _pdf(alpha - t)
+        - (alpha - t) * _pdf(alpha + t)
+    )
+    # guard against a sub-ulp negative from cancellation at extreme alpha
+    return np.maximum(val, 0.0)
+
+
+# --- checked public functions -----------------------------------------------
+
+
 def normal_pdf(x):
     """Standard normal density phi(x)."""
-    x = _checked("x", x)
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
+    return _pdf(_checked("x", x))
 
 
 def normal_cdf(x):
@@ -53,14 +104,7 @@ def normal_cdf(x):
     Accurate to full double precision in both tails; Phi(-38) underflows
     cleanly to 0 and Phi(38) rounds to 1.
     """
-    x = _checked("x", x)
-    return 0.5 * special.erfc(-x / _SQRT2)
-
-
-def _mills(alpha):
-    # Phi(-a) / phi(a) for a >= 0, computed without underflow via the
-    # scaled complementary error function.
-    return _SQRT_HALF_PI * special.erfcx(alpha / _SQRT2)
+    return _cdf(_checked("x", x))
 
 
 def soft_threshold(x, c):
@@ -72,11 +116,7 @@ def soft_threshold(x, c):
 
 def excess_prob(t, alpha):
     """P(|t + W| > alpha) for W ~ N(0,1) and threshold alpha >= 0."""
-    t = _checked("t", t)
-    alpha = _check_nonneg("alpha", alpha)
-    p = normal_cdf(t - alpha) + normal_cdf(-t - alpha)
-    # the two-tail sum can exceed 1 by an ulp when alpha ~ 0
-    return np.clip(p, 0.0, 1.0)
+    return _excess_prob(_checked("t", t), _check_nonneg("alpha", alpha))
 
 
 def mse_null(alpha):
@@ -89,9 +129,7 @@ def mse_null(alpha):
 
     Decreases from 1 at alpha = 0 toward 0.
     """
-    alpha = _check_nonneg("alpha", alpha)
-    bracket = (1.0 + np.square(alpha)) * _mills(alpha) - alpha
-    return 2.0 * normal_pdf(alpha) * bracket
+    return _mse_null(_check_nonneg("alpha", alpha))
 
 
 def mse_signal(t, alpha):
@@ -105,15 +143,4 @@ def mse_signal(t, alpha):
     Symmetric in t; equals ``mse_null(alpha)`` at t = 0 and increases to
     1 + alpha^2 as |t| -> infinity.
     """
-    t = _checked("t", t)
-    alpha = _check_nonneg("alpha", alpha)
-    a2 = np.square(alpha)
-    t2 = np.square(t)
-    val = (
-        (1.0 + a2) * (normal_cdf(t - alpha) + normal_cdf(-t - alpha))
-        + t2 * (normal_cdf(alpha - t) - normal_cdf(-alpha - t))
-        - (alpha + t) * normal_pdf(alpha - t)
-        - (alpha - t) * normal_pdf(alpha + t)
-    )
-    # guard against a sub-ulp negative from cancellation at extreme alpha
-    return np.maximum(val, 0.0)
+    return _mse_signal(_checked("t", t), _check_nonneg("alpha", alpha))

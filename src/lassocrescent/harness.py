@@ -146,6 +146,11 @@ class ExperimentConfig:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
+        # a genotype file fixes p only when it is loaded
+        if self.design.kind != "genotype_file" and self.coefficients.p != self.design.p:
+            raise ValueError(
+                f"coefficients.p = {self.coefficients.p} disagrees with design.p = {self.design.p}"
+            )
         if self.mode == "tradeoff":
             grid = tuple(float(g) for g in self.tpp_grid)
             if not grid or any(not 0.0 <= g <= 1.0 for g in grid) or list(grid) != sorted(grid):
@@ -468,12 +473,9 @@ def config_from_json(obj):
     if d:
         raise ValueError(f"unknown design fields: {sorted(d)}")
     prior = c.pop("prior", None)
-    coef_p = int(c.pop("p", design.p))
-    if design.kind != "genotype_file" and coef_p != design.p:
-        raise ValueError(f"coefficients.p = {coef_p} disagrees with design.p = {design.p}")
     coefficients = CoefficientSpec(
         kind=c.pop("kind"),
-        p=coef_p,
+        p=int(c.pop("p", design.p)),
         prior=prior_from_json(prior) if prior is not None else None,
         values=tuple(c.pop("values", ())),
         counts=tuple(int(x) for x in c.pop("counts", ())),

@@ -38,7 +38,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, InfeasibleRegionError
-from .gauss import excess_prob, mse_null, mse_signal, normal_cdf
+# Unchecked kernels, bound to the public names that perfbench/tracing.py wraps
+from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob
+from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
 
 _RESIDUAL_TOL = 1e-10
 # Usable range of theta = 1/tau hints.  The bracket walk itself is bounded by
@@ -187,6 +189,14 @@ def _bracket_walk(x, step, ahead, tries=41, prev=None):
     return None
 
 
+def _check_alpha(alpha):
+    if not isinstance(alpha, float):  # np.float64 is a float and passes as is
+        alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
+    return alpha
+
+
 def _require_matching_sparsity(prior, shape):
     if abs(prior.epsilon - shape.epsilon) > 1e-9:
         raise ValueError(
@@ -274,8 +284,7 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
     bound for this shape.
     """
     _require_matching_sparsity(prior, shape)
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
+    alpha = _check_alpha(alpha)
 
     def g(theta):
         return _tau_residual(theta, prior, alpha, shape)
@@ -294,8 +303,11 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
     if theta_hint is not None and _THETA_MIN < theta_hint < _THETA_MAX:
         center = theta_hint
     else:
-        with np.errstate(over="ignore"):  # atoms beyond ~1e154 overflow the moment
-            scale = math.sqrt(shape.sigma**2 + prior.second_moment() / shape.delta)
+        try:  # sigma or atoms beyond ~1.3e154 overflow the square
+            with np.errstate(over="ignore"):
+                scale = math.sqrt(shape.sigma**2 + prior.second_moment() / shape.delta)
+        except OverflowError:
+            scale = math.inf
         if not math.isfinite(scale):  # hypot factors out max|v| instead
             terms = prior.values * np.sqrt(prior.probs / shape.delta)
             scale = math.hypot(shape.sigma, *terms)
@@ -337,8 +349,11 @@ def lambda_of_alpha(prior, alpha, shape):
 
 def equation_residuals(prior, point):
     """Normalized residuals (first equation, lambda equation) of a solved point."""
-    r1 = _tau_residual(1.0 / point.tau, prior, point.alpha, point.shape)
-    lam = _lambda_given_tau(prior, point.alpha, point.shape, point.tau)
+    alpha = _check_alpha(point.alpha)
+    if not (math.isfinite(point.tau) and point.tau > 0.0):
+        raise ValueError(f"tau must be positive and finite, got {point.tau!r}")
+    r1 = _tau_residual(1.0 / point.tau, prior, alpha, point.shape)
+    lam = _lambda_given_tau(prior, alpha, point.shape, point.tau)
     r2 = (point.lam - lam) / max(1.0, abs(lam))
     return r1, r2
 
@@ -387,13 +402,17 @@ def tradeoff_point(prior, alpha, shape):
     return _tradeoff_given_tau(prior, alpha, shape, tau)
 
 
+def _fdp_at(t, u, epsilon):
+    # asymptotic FDP at threshold t and TPP u: the share of null selections
+    null_rate = 2.0 * (1.0 - epsilon) * normal_cdf(-t)
+    denom = null_rate + epsilon * u
+    return null_rate / denom if denom > 0.0 else 0.0
+
+
 def _tradeoff_given_tau(prior, alpha, shape, tau):
     eps = shape.epsilon
     tpp = float(np.sum((prior.probs / eps) * excess_prob(prior.values / tau, alpha)))
-    null_rate = 2.0 * (1.0 - eps) * normal_cdf(-alpha)
-    denom = null_rate + eps * tpp
-    fdp = null_rate / denom if denom > 0.0 else 0.0
-    return tpp, fdp
+    return tpp, _fdp_at(alpha, tpp, eps)
 
 
 class _CurveSolver:

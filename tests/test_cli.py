@@ -163,6 +163,33 @@ def test_curve_matches_upper_edge(tmp_path):
     assert fdps[2] == pytest.approx(0.0781731750932415, abs=1e-6)
 
 
+def test_curve_sigma_beyond_square_overflow(tmp_path):
+    # sigma**2 overflows past ~1.3e154; the curve is scale-free, so sigma 1e200
+    # with magnitude 1 is sigma 1 with magnitude 1e-200, with tau scaled by 1e200
+    tables = {}
+    for sigma, magnitude in (("1e200", 1), ("1", 1e-200)):
+        out = tmp_path / f"c{sigma}.csv"
+        prior = {"kind": "homogeneous", "epsilon": 0.2, "magnitude": magnitude}
+        res = run_cli(
+            [
+                "curve",
+                "--delta", "1",
+                "--epsilon", "0.2",
+                "--sigma", sigma,
+                "--prior", json.dumps(prior),
+                "--n-points", "5",
+                "--out", str(out),
+            ]
+        )
+        assert res.returncode == 0, res.stderr
+        _, columns, rows = read_table(out)
+        tables[sigma] = {c: np.array([float(r[i]) for r in rows]) for i, c in enumerate(columns)}
+    big, small = tables["1e200"], tables["1"]
+    for col in ("alpha", "tpp_inf", "fdp_inf"):
+        np.testing.assert_allclose(big[col], small[col], rtol=1e-9)
+    np.testing.assert_allclose(big["tau"], small["tau"] * 1e200, rtol=1e-9)
+
+
 def test_curve_requires_valid_prior(tmp_path):
     res = run_cli(
         ["curve", "--delta", "1", "--epsilon", "0.2"], outdir=tmp_path

@@ -100,3 +100,18 @@ def test_input_validation():
         mse_signal(np.inf, 1.0)
     with pytest.raises(ValueError):
         excess_prob(1.0, -2.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            normal_pdf(bad)
+        with pytest.raises(ValueError, match="finite"):
+            normal_cdf(bad)
+    with pytest.raises(ValueError, match="finite"):
+        soft_threshold(np.nan, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        soft_threshold(1.0, -0.5)
+    # one bad entry anywhere in an array is enough
+    last_inf = np.array([0.0, 1.0, np.inf])
+    with pytest.raises(ValueError, match="finite"):
+        mse_signal(last_inf, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        excess_prob(last_inf, 1.0)

@@ -435,6 +435,17 @@ def test_config_from_json_error_reporting():
                 "tpp_grid": [0.5],
             }
         )
+    # a config built in Python is held to the same rule
+    with pytest.raises(ValueError, match="disagrees"):
+        ExperimentConfig(
+            design=DesignSpec(kind="iid_gaussian", n=5, p=5),
+            coefficients=CoefficientSpec(kind="equal", p=7, magnitude=1.0, k=1),
+            sigma=0.0,
+            replicates=2,
+            seed=0,
+            mode="tradeoff",
+            tpp_grid=(0.5,),
+        )
 
 
 def test_prior_from_json_kinds_and_errors():

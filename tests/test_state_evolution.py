@@ -25,6 +25,7 @@ from lassocrescent import (
     tradeoff_at_tpp,
     tradeoff_curve,
     tradeoff_point,
+    varsigma,
 )
 from lassocrescent.state_evolution import _CurveSolver
 
@@ -195,6 +196,32 @@ def test_equation_residuals_vanish_at_solution():
     r1, r2 = equation_residuals(PRIOR1, pt)
     assert abs(r1) < 1e-10
     assert abs(r2) < 1e-10
+
+
+def test_equation_residuals_checks_point():
+    for alpha in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            equation_residuals(PRIOR1, StateEvolutionPoint(alpha, 0.7, 0.3, SHAPE))
+    with pytest.raises(ValueError):
+        equation_residuals(PRIOR1, StateEvolutionPoint(2.5, math.nan, 0.3, SHAPE))
+
+
+def test_equation_residuals_rejects_nonpositive_tau():
+    # tau = 0 used to divide by zero; tau < 0 and tau = inf returned numbers
+    for tau in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            equation_residuals(PRIOR1, StateEvolutionPoint(2.5, tau, 0.3, SHAPE))
+
+
+def test_integer_alpha_matches_float():
+    # entry points pass alpha on as a float: an integer squared inside the
+    # kernels would overflow int64 past alpha ~ 3e9
+    noisy = ModelShape(delta=1.0, epsilon=0.2, sigma=0.5)
+    for alpha in (3, 4_000_000_000):
+        assert solve_tau_given_alpha(PRIOR1, alpha, noisy) == solve_tau_given_alpha(
+            PRIOR1, float(alpha), noisy
+        )
+        assert varsigma(alpha, SHAPE) == varsigma(float(alpha), SHAPE)
 
 
 def test_infeasible_alpha_messages():
