@@ -2,8 +2,10 @@
 ``tests/golden/`` byte for byte, at every worker count.
 
 The simulation files were written by the command line tool before the harness
-runner was refactored, and the ``boundary``/``curve`` files before the theory
-half's bracket walks were merged, so they pin the numbers across refactors.
+runner was refactored, the ``boundary``/``curve`` files before the theory
+half's bracket walks were merged, and ``path_drops.csv`` before the path
+solver's active set moved into preallocated buffers, so they pin the numbers
+across refactors.
 Every file a run writes next to its CSV (such as ``.touching.csv``) is
 compared too.  To rewrite them after a deliberate change of the numbers, run
 ``python tests/test_golden.py`` (with the package importable) and state the
@@ -51,6 +53,16 @@ RANK_RHO_CONFIG = {
     "sweep_values": [0.0, 0.3, 0.6],
 }
 
+# a longer path with many drops (391 events, 96 of them drops)
+DROPS_CONFIG = {
+    "design": {"kind": "iid_gaussian", "n": 200, "p": 200},
+    "coefficients": {"kind": "equal", "magnitude": 1000.0, "k": 40},
+    "sigma": 0.01,
+    "seed": 7,
+    "replicates": 1,
+    "tpp_grid": [0.5],
+}
+
 SHAPE_ARGS = ["--delta", "1", "--epsilon", "0.2"]
 
 # golden file -> (command line without --out, worker counts it must hold at)
@@ -74,6 +86,10 @@ CASES = {
     "rank_k.csv": (["rank", "--config", json.dumps(RANK_K_CONFIG)], (1, 2)),
     "rank_rho.csv": (["rank", "--config", json.dumps(RANK_RHO_CONFIG)], (1, 2)),
     "path.csv": (["path", "--config", json.dumps(SIM_CONFIG), "--replicate", "1"], (None,)),
+    "path_drops.csv": (
+        ["path", "--config", json.dumps(DROPS_CONFIG), "--replicate", "0"],
+        (None,),
+    ),
 }
 
 
