@@ -80,9 +80,11 @@ def _mse_null(alpha):
 def _mse_signal(t, alpha):
     a2 = np.square(alpha)
     t2 = np.square(t)
+    tail = _cdf(alpha - t) - _cdf(-alpha - t)
     val = (
         (1.0 + a2) * (_cdf(t - alpha) + _cdf(-t - alpha))
-        + t2 * (_cdf(alpha - t) - _cdf(-alpha - t))
+        # where the tail is 0 the term is 0, even once t^2 overflows to inf
+        + np.where(tail == 0.0, 0.0, t2) * tail
         - (alpha + t) * _pdf(alpha - t)
         - (alpha - t) * _pdf(alpha + t)
     )

@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -484,6 +485,14 @@ def config_from_json(obj):
     )
     if c:
         raise ValueError(f"unknown coefficient fields: {sorted(c)}")
+    # a file missing here is left to fail in every replicate
+    if design.kind == "genotype_file" and os.path.isfile(design.path):
+        n_cols = load_design_file(design.path).shape[1]
+        if coefficients.p != n_cols:
+            raise ValueError(
+                f"coefficients.p = {coefficients.p} disagrees with the {n_cols} columns "
+                f"of {design.path}"
+            )
     return ExperimentConfig(
         design=design,
         coefficients=coefficients,

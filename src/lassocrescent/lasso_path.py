@@ -6,7 +6,10 @@ coefficients move linearly along d = (X_A' X_A)^{-1} s_A (s_A the active
 signs); a breakpoint occurs when an inactive correlation reaches the penalty
 level (add) or an active coefficient crosses zero (drop).  The active Gram
 factor is maintained as a rank-one-updated Cholesky, so each step costs one
-O(np) correlation update plus O(|A|^2) triangular work.
+O(np) correlation update plus O(|A|^2) triangular work.  The active set lives
+in buffers preallocated for max_active + 1 variables (indices, signs,
+coefficients, the Cholesky factor and the active columns), each used through
+its first |A| slots; a drop shifts the slots after the dropped one down by one.
 
 Tie handling: candidates within 1e-12 (relative) of the winning breakpoint
 are grouped; a drop is processed before an add, and otherwise the lowest
@@ -78,12 +81,9 @@ def _givens(a, b):
 
 def _chol_append(L, k, gram_col, col_sq, variable):
     """Extend the k x k lower factor in buffer L by one variable."""
-    if k == 0:
-        d2 = col_sq
-    else:
-        w = solve_triangular(L[:k, :k], gram_col, lower=True, check_finite=False)
-        L[k, :k] = w
-        d2 = col_sq - float(w @ w)
+    w = solve_triangular(L[:k, :k], gram_col, lower=True, check_finite=False)
+    L[k, :k] = w
+    d2 = col_sq - float(w @ w)
     if d2 <= 1e-12 * col_sq:
         raise DegenerateDesignError(
             f"active Gram matrix became singular when adding variable {variable} "
@@ -95,18 +95,17 @@ def _chol_append(L, k, gram_col, col_sq, variable):
 def _chol_delete(L, k, j):
     """Remove row/column j from the k x k lower factor in buffer L."""
     m = k - 1 - j
-    if m > 0:
-        x = L[j + 1 : k, j].copy()
-        L[j : k - 1, :j] = L[j + 1 : k, :j].copy()
-        L[j : j + m, j : j + m] = L[j + 1 : k, j + 1 : k].copy()
-        blk = L[j : j + m, j : j + m]
-        for t in range(m):
-            c, s, r = _givens(blk[t, t], x[t])
-            blk[t, t] = r
-            if t + 1 < m:
-                tail = blk[t + 1 :, t].copy()
-                blk[t + 1 :, t] = c * tail + s * x[t + 1 :]
-                x[t + 1 :] = -s * tail + c * x[t + 1 :]
+    x = L[j + 1 : k, j].copy()
+    L[j : k - 1, :j] = L[j + 1 : k, :j].copy()
+    L[j : j + m, j : j + m] = L[j + 1 : k, j + 1 : k].copy()
+    blk = L[j : j + m, j : j + m]
+    for t in range(m):
+        c, s, r = _givens(blk[t, t], x[t])
+        blk[t, t] = r
+        if t + 1 < m:
+            tail = blk[t + 1 :, t].copy()
+            blk[t + 1 :, t] = c * tail + s * x[t + 1 :]
+            x[t + 1 :] = -s * tail + c * x[t + 1 :]
     L[k - 1, : k] = 0.0
     L[: k, k - 1] = 0.0
 
@@ -120,7 +119,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     lambda_floor : stop once the next breakpoint would fall at or below this
         level (default 1e-10 * lambda_max).
     max_active : stop once the active set reaches this size
-        (default min(n - 1, p)).
+        (default min(n - 1, p), at least 1).
     stop_outside_support : optional set of variable indices; the path stops
         immediately after the first add event outside it (stopping reason
         "first_false"), which is all the first-false-rank statistic needs.
@@ -140,7 +139,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             f"column {int(np.argmin(col_sq))} of the design is identically zero"
         )
     if max_active is None:
-        max_active = min(n - 1, p)
+        max_active = max(1, min(n - 1, p))
     if not 0 < max_active <= min(n, p):
         raise ValueError(f"max_active must lie in [1, min(n, p)], got {max_active}")
     allowed = None if stop_outside_support is None else frozenset(
@@ -164,109 +163,105 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             stopping_reason="full_path" if lam == 0.0 else "lambda_floor",
         )
 
-    active = []
-    signs = []
-    beta = np.zeros(0)
-    L = np.zeros((max_active + 1, max_active + 1))
-    XA = np.empty((n, max_active + 1), order="F")  # active columns, in order
+    m = max_active + 1
+    L = np.zeros((m, m))
+    XA = np.empty((n, m), order="F")  # active columns, in order
+    act = np.zeros(m, dtype=np.intp)
+    sgn = np.zeros(m)
+    beta = np.zeros(m)
+    k = 0
     inactive_mask = np.ones(p, dtype=bool)
     events = []
+    dropped = None  # (variable, sign) removed at the previous event
     tie = lambda level: _TIE_REL * max(1.0, level)
 
-    def record(kind, variable):
-        # direction for the new active set; stored on the event and reused
-        k = len(active)
-        if k == 0:
-            d = np.zeros(0)
+    # the first event adds the lowest-index variable at the top of the
+    # correlation profile
+    kind, j = "add", int(np.flatnonzero(np.abs(c) >= lam - tie(lam)).min())
+    while True:
+        if kind == "drop":
+            _chol_delete(L, k, pos)
+            dropped = (j, sgn[pos])
+            for buf in (act, sgn, beta, XA.T):  # rows of XA.T are active columns
+                buf[pos : k - 1] = buf[pos + 1 : k]
+            k -= 1
         else:
-            s = np.asarray(signs, dtype=float)
-            w = solve_triangular(L[:k, :k], s, lower=True, check_finite=False)
-            d = solve_triangular(L[:k, :k].T, w, lower=False, check_finite=False)
+            _chol_append(L, k, XA[:, :k].T @ X[:, j], col_sq[j], j)
+            XA[:, k] = X[:, j]
+            act[k] = j
+            sgn[k] = 1.0 if c[j] > 0 else -1.0
+            beta[k] = 0.0
+            k += 1
+            dropped = None
+        inactive_mask[j] = kind == "drop"
+
+        # direction for the new active set; stored on the event and reused
+        w = solve_triangular(L[:k, :k], sgn[:k], lower=True, check_finite=False)
+        d = solve_triangular(L[:k, :k].T, w, lower=False, check_finite=False)
         events.append(
             PathEvent(
                 lam=lam,
                 kind=kind,
-                variable=variable,
-                active_set=tuple(active),
-                coef=beta.copy(),
+                variable=j,
+                active_set=tuple(act[:k].tolist()),
+                coef=beta[:k].copy(),
                 coef_direction=d,
             )
         )
-        return d
+        # a dropped variable entered inside the support, so only adds can
+        # trigger the first-false stop
+        if allowed is not None and j not in allowed:
+            stopping, lambda_min_valid = "first_false", lam
+            break
+        if k >= max_active:
+            stopping, lambda_min_valid = "max_active", lam
+            break
 
-    def add_variable(j):
-        k = len(active)
-        col = X[:, j]
-        gram_col = XA[:, :k].T @ col if k else np.zeros(0)
-        _chol_append(L, k, gram_col, col_sq[j], j)
-        XA[:, k] = col
-        active.append(j)
-        signs.append(1.0 if c[j] > 0 else -1.0)
-        inactive_mask[j] = False
-        return np.append(beta, 0.0)
+        b = beta[:k]
+        b[np.abs(b) < _COEF_ZERO] = 0.0
+        if len(events) % _REFRESH_EVERY == 0:
+            c = X.T @ (y - XA[:, :k] @ b)
 
-    # first entry: variable(s) at the top of the correlation profile
-    top = np.flatnonzero(np.abs(c) >= lam - tie(lam))
-    j0 = int(top.min())
-    beta = add_variable(j0)
-    d = record("add", j0)
-    stopping = None
-    lambda_min_valid = lambda_floor
-    dropped = None  # (variable, sign) removed at the previous event
-
-    if allowed is not None and j0 not in allowed:
-        stopping, lambda_min_valid = "first_false", lam
-    elif len(active) >= max_active:
-        stopping, lambda_min_valid = "max_active", lam
-
-    while stopping is None:
-        k_act = len(active)
-        u = XA[:, :k_act] @ d if k_act else np.zeros(n)
-        a = X.T @ u
-
-        cand_lam = -1.0
-        cand_kind = None
-        cand_var = -1
-        cand_pos = -1
+        # next breakpoint
+        a = X.T @ (XA[:, :k] @ d)
+        cand_lam, kind = -1.0, None
         window = tie(lam)
 
         # drop candidates: active coefficient hits zero at lam' = lam + b/d
-        dz = np.asarray(d)
         with np.errstate(divide="ignore", invalid="ignore"):
-            drop_at = lam + np.where(dz != 0.0, beta / dz, -np.inf)
-        drop_at[np.abs(dz) < 1e-300] = -np.inf
+            drop_at = lam + np.where(d != 0.0, b / d, -np.inf)
+        drop_at[np.abs(d) < 1e-300] = -np.inf
         drop_ok = (drop_at > 0.0) & (drop_at < lam - window)
         if np.any(drop_ok):
             pos = int(np.argmax(np.where(drop_ok, drop_at, -np.inf)))
             cand_lam = float(drop_at[pos])
-            cand_kind, cand_var, cand_pos = "drop", active[pos], pos
+            kind, j = "drop", int(act[pos])
 
         # entry candidates: inactive correlation meets the penalty level
         idx = np.flatnonzero(inactive_mask)
-        if idx.size:
-            cj, aj = c[idx], a[idx]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                plus = (cj - lam * aj) / (1.0 - aj)
-                minus = (lam * aj - cj) / (1.0 + aj)
-            if dropped is not None:  # no same-sign re-entry right after a drop
-                j, s = dropped
-                (plus if s > 0 else minus)[idx == j] = np.nan
-            for cand in (plus, minus):
-                ok = np.isfinite(cand) & (cand > 0.0) & (cand < lam - window)
-                if not np.any(ok):
-                    continue
-                best = float(np.max(cand[ok]))
-                if best > cand_lam + tie(best):
-                    sel = idx[ok & (cand >= best - tie(best))]
-                    cand_lam = best
-                    cand_kind, cand_var, cand_pos = "add", int(sel.min()), -1
-                elif cand_kind == "add" and best >= cand_lam - tie(best):
-                    sel = idx[ok & (cand >= cand_lam - tie(cand_lam))]
-                    if sel.size:
-                        cand_var = min(cand_var, int(sel.min()))
-                # a drop within the tie window keeps priority over an add
+        cj, aj = c[idx], a[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plus = (cj - lam * aj) / (1.0 - aj)
+            minus = (lam * aj - cj) / (1.0 + aj)
+        if dropped is not None:  # no same-sign re-entry right after a drop
+            jd, sd = dropped
+            (plus if sd > 0 else minus)[idx == jd] = np.nan
+        for cand in (plus, minus):
+            ok = np.isfinite(cand) & (cand > 0.0) & (cand < lam - window)
+            if not np.any(ok):
+                continue
+            best = float(np.max(cand[ok]))
+            if best > cand_lam + tie(best):
+                sel = idx[ok & (cand >= best - tie(best))]
+                cand_lam = best
+                kind, j = "add", int(sel.min())
+            elif kind == "add" and best >= cand_lam - tie(best):
+                sel = idx[ok & (cand >= cand_lam - tie(cand_lam))]
+                if sel.size:
+                    j = min(j, int(sel.min()))
+            # a drop within the tie window keeps priority over an add
 
-        if cand_kind is None:
+        if kind is None:
             stopping, lambda_min_valid = "full_path", 0.0
             break
         if cand_lam <= lambda_floor:
@@ -274,36 +269,14 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             break
 
         step = lam - cand_lam
-        beta = beta + step * dz
+        b += step * d
         c = c - step * a
         lam = cand_lam
-
-        if cand_kind == "drop":
-            k_act = len(active)
-            _chol_delete(L, k_act, cand_pos)
-            XA[:, cand_pos : k_act - 1] = XA[:, cand_pos + 1 : k_act]
-            active.pop(cand_pos)
-            dropped = (cand_var, signs.pop(cand_pos))
-            inactive_mask[cand_var] = True
-            beta = np.delete(beta, cand_pos)
-            d = record("drop", cand_var)
-        else:
-            dropped = None
-            beta = add_variable(cand_var)
-            d = record("add", cand_var)
-            if allowed is not None and cand_var not in allowed:
-                stopping, lambda_min_valid = "first_false", lam
-            elif len(active) >= max_active:
-                stopping, lambda_min_valid = "max_active", lam
-
-        beta[np.abs(beta) < _COEF_ZERO] = 0.0
-        if len(events) % _REFRESH_EVERY == 0:
-            c = X.T @ (y - XA[:, : len(active)] @ beta)
 
     return LassoPath(
         events=events,
         y_norm=y_norm,
-        lambda_max=float(events[0].lam) if events else 0.0,
+        lambda_max=float(events[0].lam),
         lambda_min_valid=float(lambda_min_valid),
         p=p,
         stopping_reason=stopping,
@@ -328,16 +301,9 @@ def coefficients_at(path, lam):
             f"[{path.lambda_min_valid}, {path.lambda_max}] "
             f"(path stopped: {path.stopping_reason})"
         )
-    lams = [ev.lam for ev in path.events]
-    # events are strictly decreasing in lam; find the last one at or above lam
-    lo, hi = 0, len(lams) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if lams[mid] >= lam:
-            lo = mid
-        else:
-            hi = mid - 1
-    ev = path.events[lo]
+    # events are strictly decreasing in lam; take the last one at or above lam
+    neg_lams = -np.array([ev.lam for ev in path.events])
+    ev = path.events[int(np.searchsorted(neg_lams, -lam, side="right")) - 1]
     vals = ev.coef + (ev.lam - lam) * ev.coef_direction
     beta[list(ev.active_set)] = vals
     return beta

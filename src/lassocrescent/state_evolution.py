@@ -270,7 +270,8 @@ def _tau_residual(theta, prior, alpha, shape):
     mse = prior.null_mass * mse_null(alpha) + float(
         np.sum(prior.probs * mse_signal(prior.values * theta, alpha))
     )
-    return (shape.sigma * theta) ** 2 + mse / shape.delta - 1.0
+    st = shape.sigma * theta  # float ** raises OverflowError where * gives inf
+    return st * st + mse / shape.delta - 1.0
 
 
 def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
@@ -538,6 +539,8 @@ def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
 
 def tradeoff_at_tpp(prior, shape, tpp):
     """Point on the instance trade-off curve at a prescribed TPP level."""
+    if not math.isfinite(tpp):
+        raise ValueError(f"tpp must be finite, got {tpp!r}")
     solver = _CurveSolver(prior, shape)
     a_min = solver.feasible_alpha_lo()
     if not 0.0 < tpp < solver.tpp(a_min):

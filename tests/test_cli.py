@@ -297,6 +297,17 @@ def test_malformed_config_exit_code(tmp_path):
     assert res.returncode == 2
     res_missing = run_cli(["simulate"], outdir=tmp_path)
     assert res_missing.returncode == 2
+    # coefficients.p against the columns of a genotype file
+    fpath = tmp_path / "geno.csv"
+    np.savetxt(fpath, np.random.default_rng(8).integers(0, 3, size=(40, 7)), delimiter=",")
+    config = {
+        "design": {"kind": "genotype_file", "path": str(fpath)},
+        "coefficients": {"kind": "equal", "p": 10, "magnitude": 5.0, "k": 2},
+        "tpp_grid": [0.5],
+    }
+    res_cols = run_cli(["simulate", "--config", json.dumps(config)], outdir=tmp_path)
+    assert res_cols.returncode == 2
+    assert "7 columns" in res_cols.stderr
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -57,6 +57,9 @@ def test_mse_signal_frozen_and_shape():
         for t in (0.3, 1.7, 4.0):
             assert mse_signal(t, alpha) == pytest.approx(mse_signal(-t, alpha), abs=1e-14)
         assert mse_signal(1e6, alpha) == pytest.approx(1.0 + alpha**2, rel=1e-12)
+        # past ~1.3e154, t^2 overflows to inf where the tail difference is 0
+        with np.errstate(over="ignore"):
+            assert mse_signal(1e155, alpha) == pytest.approx(1.0 + alpha**2, rel=1e-12)
 
 
 def test_mse_signal_vs_quadrature():

@@ -139,6 +139,21 @@ def test_max_active_stop():
         lasso_path(X, y, max_active=X.shape[1] + 5)
 
 
+def test_single_observation_default_max_active():
+    # n = 1: the default cap is one variable, not n - 1 = 0
+    X, y = np.array([[1.0, 2.0, 3.0]]), np.array([1.0])
+    path = lasso_path(X, y)
+    assert path.stopping_reason == "max_active"
+    assert [(ev.kind, ev.variable) for ev in path.events] == [("add", 2)]
+    assert np.all(coefficients_at(path, path.lambda_min_valid) == cd_lasso(X, y, 3.0))
+    # the recorded segment is the whole remaining path of a rank-one design
+    ev = path.events[0]
+    for lam in (2.0, 0.5):
+        beta = np.zeros(3)
+        beta[list(ev.active_set)] = ev.coef + (ev.lam - lam) * ev.coef_direction
+        assert np.max(np.abs(beta - cd_lasso(X, y, lam))) < 1e-10
+
+
 def test_lambda_floor_stop():
     rng = np.random.default_rng(31)
     X, y = _random_instance(rng)

@@ -191,6 +191,16 @@ def test_tau_solve_returns_root_or_raises(log_atoms, sigma, delta, epsilon, log1
     assert abs(r1) <= 1e-10
 
 
+def test_tau_solve_past_square_overflow_raises_convergence_error():
+    # theta * atom ~ 5e154 squares to inf; the zero tail it multiplies used
+    # to make a nan that brentq reported as invalid input (ValueError)
+    prior = DiscretePrior.from_levels(0.565, [9.78e103])
+    shape = ModelShape(delta=1.32e262, epsilon=0.565, sigma=1.6e-298)
+    alpha = admissible_alpha_lower(prior, shape) + 3.4e-8
+    with pytest.raises(ConvergenceError), np.errstate(over="ignore"):
+        solve_tau_given_alpha(prior, alpha, shape)
+
+
 def test_equation_residuals_vanish_at_solution():
     pt = solve_alpha_given_lambda(PRIOR1, 0.5, SHAPE)
     r1, r2 = equation_residuals(PRIOR1, pt)
@@ -211,6 +221,13 @@ def test_equation_residuals_rejects_nonpositive_tau():
     for tau in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="tau"):
             equation_residuals(PRIOR1, StateEvolutionPoint(2.5, tau, 0.3, SHAPE))
+
+
+def test_equation_residuals_overflow_to_inf():
+    # (sigma * theta)^2 overflows: inf, not OverflowError
+    point = StateEvolutionPoint(2.5, 1.0, 0.3, ModelShape(delta=1.0, epsilon=0.2, sigma=1e200))
+    r1, _ = equation_residuals(PRIOR1, point)
+    assert r1 == math.inf
 
 
 def test_integer_alpha_matches_float():
@@ -325,6 +342,10 @@ def test_tradeoff_at_tpp_out_of_range():
         tradeoff_at_tpp(PRIOR1, SHAPE, 0.9999999)
     with pytest.raises(InfeasibleRegionError):
         tradeoff_at_tpp(PRIOR1, SHAPE, 0.0)
+    # a non-finite level is invalid input, not an infeasible one
+    for tpp in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tpp"):
+            tradeoff_at_tpp(PRIOR1, SHAPE, tpp)
 
 
 def test_feasible_alpha_lo_grows_to_positive_penalty():
