@@ -6,10 +6,10 @@ coefficients move linearly along d = (X_A' X_A)^{-1} s_A (s_A the active
 signs); a breakpoint occurs when an inactive correlation reaches the penalty
 level (add) or an active coefficient crosses zero (drop).  The active Gram
 factor is maintained as a rank-one-updated Cholesky, so each step costs one
-O(np) correlation update plus O(|A|^2) triangular work.  The active set lives
-in buffers preallocated for max_active + 1 variables (indices, signs,
-coefficients, the Cholesky factor and the active columns), each used through
-its first |A| slots; a drop shifts the slots after the dropped one down by one.
+O(np) correlation update plus O(|A|^2) triangular work.  The active signs,
+coefficients, Cholesky factor and columns live in buffers preallocated for
+max_active + 1 variables, each used through its first |A| slots; a drop
+shifts the slots after the dropped one down by one.
 
 Tie handling: candidates within 1e-12 (relative) of the winning breakpoint
 are grouped; a drop is processed before an add, and otherwise the lowest
@@ -166,7 +166,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     m = max_active + 1
     L = np.zeros((m, m))
     XA = np.empty((n, m), order="F")  # active columns, in order
-    act = np.zeros(m, dtype=np.intp)
+    active = ()  # each event shares this tuple and its int objects
     sgn = np.zeros(m)
     beta = np.zeros(m)
     k = 0
@@ -182,13 +182,14 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         if kind == "drop":
             _chol_delete(L, k, pos)
             dropped = (j, sgn[pos])
-            for buf in (act, sgn, beta, XA.T):  # rows of XA.T are active columns
+            active = active[:pos] + active[pos + 1 :]
+            for buf in (sgn, beta, XA.T):  # rows of XA.T are active columns
                 buf[pos : k - 1] = buf[pos + 1 : k]
             k -= 1
         else:
             _chol_append(L, k, XA[:, :k].T @ X[:, j], col_sq[j], j)
             XA[:, k] = X[:, j]
-            act[k] = j
+            active += (j,)
             sgn[k] = 1.0 if c[j] > 0 else -1.0
             beta[k] = 0.0
             k += 1
@@ -203,7 +204,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
                 lam=lam,
                 kind=kind,
                 variable=j,
-                active_set=tuple(act[:k].tolist()),
+                active_set=active,
                 coef=beta[:k].copy(),
                 coef_direction=d,
             )
@@ -235,7 +236,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         if np.any(drop_ok):
             pos = int(np.argmax(np.where(drop_ok, drop_at, -np.inf)))
             cand_lam = float(drop_at[pos])
-            kind, j = "drop", int(act[pos])
+            kind, j = "drop", active[pos]
 
         # entry candidates: inactive correlation meets the penalty level
         idx = np.flatnonzero(inactive_mask)
