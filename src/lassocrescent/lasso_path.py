@@ -81,9 +81,12 @@ def _givens(a, b):
 
 def _chol_append(L, k, gram_col, col_sq, variable):
     """Extend the k x k lower factor in buffer L by one variable."""
-    w = solve_triangular(L[:k, :k], gram_col, lower=True, check_finite=False)
-    L[k, :k] = w
-    d2 = col_sq - float(w @ w)
+    if k == 0:
+        d2 = col_sq
+    else:
+        w = solve_triangular(L[:k, :k], gram_col, lower=True, check_finite=False)
+        L[k, :k] = w
+        d2 = col_sq - float(w @ w)
     if d2 <= 1e-12 * col_sq:
         raise DegenerateDesignError(
             f"active Gram matrix became singular when adding variable {variable} "
