@@ -7,7 +7,10 @@ half's bracket walks were merged, and ``path_drops.csv`` before the path
 solver's active set moved into preallocated buffers, so they pin the numbers
 across refactors.
 Every file a run writes next to its CSV (such as ``.touching.csv``) is
-compared too.  To rewrite them after a deliberate change of the numbers, run
+compared too.  ``golden/gnuplot/`` pins, for one case of each command, the
+``--gnuplot`` script and the paths the run prints; those runs write into their
+working directory through a relative ``--out``, so the script names no
+machine-specific directory.  To rewrite them after a deliberate change of the numbers, run
 ``python tests/test_golden.py`` (with the package importable) and state the
 change.
 """
@@ -16,11 +19,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+import lassocrescent
+
 GOLDEN_DIR = Path(__file__).with_name("golden")
+GNUPLOT_DIR = GOLDEN_DIR / "gnuplot"
 
 SIM_CONFIG = {
     "design": {"kind": "iid_gaussian", "n": 40, "p": 40},
@@ -92,6 +99,9 @@ CASES = {
     ),
 }
 
+# one case per command; boundary's also pins the order CSV, .touching.csv, .gp
+GNUPLOT_CASES = ("boundary.csv", "curve_sigma0.csv", "path.csv", "simulate.csv", "rank_k.csv")
+
 
 def outputs(directory, name):
     """The CSV ``name`` in ``directory`` and the files written next to it."""
@@ -109,11 +119,37 @@ def run_case(name, jobs, outdir):
     return outputs(outdir, name)
 
 
+def run_gnuplot_case(name, outdir):
+    """The ``.gp`` script and the stdout of ``name``'s run with ``--gnuplot``."""
+    args, _ = CASES[name]
+    package_root = str(Path(lassocrescent.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "lassocrescent.cli", *args, "--out", name, "--gnuplot"],
+        capture_output=True,
+        text=True,
+        cwd=outdir,
+        env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    return {
+        name + ".gp": (Path(outdir) / (name + ".gp")).read_bytes(),
+        name + ".stdout": res.stdout.encode(),
+    }
+
+
 @pytest.mark.parametrize(
     "name, jobs", [(name, jobs) for name, (_, counts) in CASES.items() for jobs in counts]
 )
 def test_cli_output_matches_golden(tmp_path, name, jobs):
     assert run_case(name, jobs, tmp_path) == outputs(GOLDEN_DIR, name)
+
+
+@pytest.mark.parametrize("name", GNUPLOT_CASES)
+def test_gnuplot_script_and_stdout_match_golden(tmp_path, name):
+    expected = {f: (GNUPLOT_DIR / f).read_bytes() for f in (name + ".gp", name + ".stdout")}
+    assert run_gnuplot_case(name, tmp_path) == expected
 
 
 if __name__ == "__main__":
@@ -123,3 +159,9 @@ if __name__ == "__main__":
         if any(out != outs[0] for out in outs):
             sys.exit(f"{name}: output depends on the worker count")
         print(*(GOLDEN_DIR / f for f in outs[0]), sep="\n")
+    os.makedirs(GNUPLOT_DIR, exist_ok=True)
+    for name in GNUPLOT_CASES:
+        with tempfile.TemporaryDirectory() as scratch:
+            for f, body in run_gnuplot_case(name, scratch).items():
+                (GNUPLOT_DIR / f).write_bytes(body)
+                print(GNUPLOT_DIR / f)
