@@ -31,17 +31,39 @@ from .harness import (
     _simulate_instance,
 )
 from .lasso_path import lasso_path, tpp_fdp_along_path
-from .state_evolution import DiscretePrior, ModelShape, tradeoff_curve
+from .state_evolution import ModelShape, tradeoff_curve
 
 _OUTDIR_ENV = "LASSOCRESCENT_OUTDIR"
 
 
-def _out_path(args, default_name):
+def _write_outputs(args, default_name, header, tables, plot):
+    """Write a command's tables and, with ``--gnuplot``, its plot script.
+
+    The first of ``tables`` (``(suffix, columns, rows)`` triples) goes to the
+    output path, the others next to it under their suffixes; every path is
+    printed.  ``plot`` is ``(xlabel, ylabel, [(using, style, title), ...])``.
+    """
     if args.out:
-        return args.out
-    outdir = os.environ.get(_OUTDIR_ENV, ".")
-    os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, default_name)
+        out = args.out
+    else:
+        outdir = os.environ.get(_OUTDIR_ENV, ".")
+        os.makedirs(outdir, exist_ok=True)
+        out = os.path.join(outdir, default_name)
+    for suffix, columns, rows in tables:
+        _write_table(out + suffix, header, columns, rows)
+        print(out + suffix)
+    if args.gnuplot:
+        xlabel, ylabel, series = plot
+        plots = [f"'{out}' using {u} with {style} title '{title}'" for u, style, title in series]
+        with open(out + ".gp", "w") as fh:
+            fh.write(
+                "set datafile separator ','\n"
+                "set datafile commentschars '#'\n"
+                "set key left top\n"
+                f"set xlabel '{xlabel}'\nset ylabel '{ylabel}'\n"
+                "plot " + ", \\\n     ".join(plots) + "\n"
+            )
+        print(out + ".gp")
 
 
 def _write_table(path, header_obj, columns, rows):
@@ -62,17 +84,6 @@ def _fmt(v):
     return format(float(v), ".12g")
 
 
-def _write_gnuplot(out_csv, script_body):
-    gp = out_csv + ".gp"
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            "set datafile commentschars '#'\n"
-            "set key left top\n" + script_body
-        )
-    return gp
-
-
 def _load_config_arg(args):
     if not args.config:
         return None
@@ -84,10 +95,10 @@ def _load_config_arg(args):
         return json.loads(args.config)
 
 
-def _shape_from(args, obj, sigma_default=0.0):
+def _shape_from(args, obj):
     delta = args.delta if args.delta is not None else (obj or {}).get("delta")
     epsilon = args.epsilon if args.epsilon is not None else (obj or {}).get("epsilon")
-    sigma = args.sigma if args.sigma is not None else (obj or {}).get("sigma", sigma_default)
+    sigma = args.sigma if args.sigma is not None else (obj or {}).get("sigma", 0.0)
     if delta is None or epsilon is None:
         raise ValueError("delta and epsilon are required (flags or --config)")
     return ModelShape(delta=float(delta), epsilon=float(epsilon), sigma=float(sigma))
@@ -112,50 +123,27 @@ def _cmd_boundary(args):
             f"[{points[0].u:.4f}, {points[-1].u:.4f}]",
             file=sys.stderr,
         )
-    gammas = None
-    if args.touching:
-        gammas = [float(g) for g in args.touching.split(",")]
-        header["touching_gamma"] = gammas
-    out = _out_path(args, "boundary.csv")
     rows = [
         (p.u, p.t_delta, p.q_delta, p.varsigma, p.t_nabla, p.q_nabla) for p in points
     ]
-    _write_table(out, header, ["u", "t_delta", "q_delta", "varsigma", "t_nabla", "q_nabla"], rows)
-    print(out)
-    if gammas:
-        tp = touching_points(gammas, shape)
-        tp_out = out + ".touching.csv"
-        _write_table(tp_out, header, ["u", "q_delta"], tp)
-        print(tp_out)
-    if args.gnuplot:
-        print(
-            _write_gnuplot(
-                out,
-                "set xlabel 'TPP'\nset ylabel 'FDP'\n"
-                f"plot '{out}' using 1:3 with lines title 'q_delta', \\\n"
-                f"     '{out}' using 1:6 with lines title 'q_nabla'\n",
-            )
-        )
-    return 0
-
-
-def _prior_from_args(args, obj):
-    spec = None
-    if args.prior:
-        spec = json.loads(args.prior)
-    elif obj and "prior" in obj:
-        spec = obj["prior"]
-    if spec is None:
-        raise ValueError("curve needs a prior (--prior JSON or 'prior' in --config)")
-    if "epsilon" not in spec and args.epsilon is not None:
-        spec = {**spec, "epsilon": args.epsilon}
-    return prior_from_json(spec)
+    tables = [("", ["u", "t_delta", "q_delta", "varsigma", "t_nabla", "q_nabla"], rows)]
+    if args.touching:
+        gammas = [float(g) for g in args.touching.split(",")]
+        header["touching_gamma"] = gammas
+        tables.append((".touching.csv", ["u", "q_delta"], touching_points(gammas, shape)))
+    plot = ("TPP", "FDP", [("1:3", "lines", "q_delta"), ("1:6", "lines", "q_nabla")])
+    return "boundary.csv", header, tables, plot
 
 
 def _cmd_curve(args):
     obj = _load_config_arg(args)
     shape = _shape_from(args, obj)
-    prior = _prior_from_args(args, obj)
+    spec = json.loads(args.prior) if args.prior else (obj or {}).get("prior")
+    if spec is None:
+        raise ValueError("curve needs a prior (--prior JSON or 'prior' in --config)")
+    if "epsilon" not in spec and args.epsilon is not None:
+        spec = {**spec, "epsilon": args.epsilon}
+    prior = prior_from_json(spec)
     n_points = args.n_points or 50
     curve = tradeoff_curve(prior, shape, n_points=n_points)
     header = {
@@ -169,19 +157,9 @@ def _cmd_curve(args):
         },
         "n_points": n_points,
     }
-    out = _out_path(args, "curve.csv")
     rows = list(zip(curve.alpha, curve.lam, curve.tau, curve.tpp, curve.fdp))
-    _write_table(out, header, ["alpha", "lambda", "tau", "tpp_inf", "fdp_inf"], rows)
-    print(out)
-    if args.gnuplot:
-        print(
-            _write_gnuplot(
-                out,
-                "set xlabel 'TPP'\nset ylabel 'FDP'\n"
-                f"plot '{out}' using 4:5 with lines title 'trade-off'\n",
-            )
-        )
-    return 0
+    tables = [("", ["alpha", "lambda", "tau", "tpp_inf", "fdp_inf"], rows)]
+    return "curve.csv", header, tables, ("TPP", "FDP", [("4:5", "lines", "trade-off")])
 
 
 def _config_from(args, mode):
@@ -211,23 +189,8 @@ def _cmd_path(args):
         (i, ev.lam, ev.kind, ev.variable, len(ev.active_set), tpp, fdp)
         for i, (ev, (_, tpp, fdp)) in enumerate(zip(path.events, stats))
     ]
-    out = _out_path(args, "path.csv")
-    _write_table(
-        out,
-        header,
-        ["event_index", "lambda", "kind", "variable", "n_active", "tpp", "fdp"],
-        rows,
-    )
-    print(out)
-    if args.gnuplot:
-        print(
-            _write_gnuplot(
-                out,
-                "set xlabel 'TPP'\nset ylabel 'FDP'\n"
-                f"plot '{out}' using 6:7 with steps title 'path'\n",
-            )
-        )
-    return 0
+    tables = [("", ["event_index", "lambda", "kind", "variable", "n_active", "tpp", "fdp"], rows)]
+    return "path.csv", header, tables, ("TPP", "FDP", [("6:7", "steps", "path")])
 
 
 def _cmd_simulate(args):
@@ -238,42 +201,21 @@ def _cmd_simulate(args):
         (g, m, s, summary.n_ok)
         for g, m, s in zip(summary.tpp_grid, summary.mean_fdp, summary.se_fdp)
     ]
-    out = _out_path(args, "simulate.csv")
-    _write_table(out, header, ["tpp_grid", "mean_fdp", "se_fdp", "n_ok"], rows)
-    print(out)
-    if args.gnuplot:
-        print(
-            _write_gnuplot(
-                out,
-                "set xlabel 'TPP'\nset ylabel 'FDP'\n"
-                f"plot '{out}' using 1:2:3 with yerrorlines title 'mean FDP'\n",
-            )
-        )
-    return 0
+    tables = [("", ["tpp_grid", "mean_fdp", "se_fdp", "n_ok"], rows)]
+    return "simulate.csv", header, tables, ("TPP", "FDP", [("1:2:3", "yerrorlines", "mean FDP")])
 
 
 def _cmd_rank(args):
     config = _config_from(args, "rank")
     summary = run_rank_experiment(config, jobs=args.jobs)
     header = {"command": "rank", "config": config_to_json(config)}
-    out = _out_path(args, "rank.csv")
-    _write_table(
-        out,
-        header,
-        ["sweep_value", "mean_T", "median_T", "q10", "q90", "n_censored"],
-        summary.rows,
-    )
-    print(out)
-    if args.gnuplot:
-        print(
-            _write_gnuplot(
-                out,
-                "set xlabel 'sweep value'\nset ylabel 'first false rank'\n"
-                f"plot '{out}' using 1:3 with linespoints title 'median T', \\\n"
-                f"     '{out}' using 1:4:5 with filledcurves fs transparent solid 0.2 title 'q10-q90'\n",
-            )
-        )
-    return 0
+    columns = ["sweep_value", "mean_T", "median_T", "q10", "q90", "n_censored"]
+    series = [
+        ("1:3", "linespoints", "median T"),
+        ("1:4:5", "filledcurves fs transparent solid 0.2", "q10-q90"),
+    ]
+    plot = ("sweep value", "first false rank", series)
+    return "rank.csv", header, [("", columns, summary.rows)], plot
 
 
 def build_parser():
@@ -334,7 +276,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _write_outputs(args, *args.func(args))
+        return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

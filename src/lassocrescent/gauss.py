@@ -73,17 +73,20 @@ def _excess_prob(t, alpha):
 
 
 def _mse_null(alpha):
+    pdf = _pdf(alpha)
     bracket = (1.0 + np.square(alpha)) * _mills(alpha) - alpha
-    return 2.0 * _pdf(alpha) * bracket
+    # where phi(alpha) is 0 the value is 0, even once alpha^2 overflows to inf
+    return 2.0 * pdf * np.where(pdf == 0.0, 0.0, bracket)
 
 
 def _mse_signal(t, alpha):
     a2 = np.square(alpha)
     t2 = np.square(t)
+    outer = _cdf(t - alpha) + _cdf(-t - alpha)
     tail = _cdf(alpha - t) - _cdf(-alpha - t)
     val = (
-        (1.0 + a2) * (_cdf(t - alpha) + _cdf(-t - alpha))
-        # where the tail is 0 the term is 0, even once t^2 overflows to inf
+        # where a tail is 0 its term is 0, even once alpha^2 or t^2 overflows to inf
+        np.where(outer == 0.0, 0.0, 1.0 + a2) * outer
         + np.where(tail == 0.0, 0.0, t2) * tail
         - (alpha + t) * _pdf(alpha - t)
         - (alpha - t) * _pdf(alpha + t)

@@ -152,9 +152,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"coefficients.p = {self.coefficients.p} disagrees with design.p = {self.design.p}"
             )
+        # an empty grid is kept for ``path``; run_tradeoff_experiment needs one
         if self.mode == "tradeoff":
             grid = tuple(float(g) for g in self.tpp_grid)
-            if not grid or any(not 0.0 <= g <= 1.0 for g in grid) or list(grid) != sorted(grid):
+            if any(not 0.0 <= g <= 1.0 for g in grid) or list(grid) != sorted(grid):
                 raise ValueError("tpp_grid must be a nondecreasing tuple inside [0, 1]")
             object.__setattr__(self, "tpp_grid", grid)
         if self.sweep_param not in ("", "k", "rho"):
@@ -364,6 +365,8 @@ def run_tradeoff_experiment(config, jobs=1):
     """
     if config.mode != "tradeoff":
         raise ValueError(f"config.mode is {config.mode!r}, expected 'tradeoff'")
+    if not config.tpp_grid:
+        raise ValueError("tradeoff experiments need a nonempty tpp_grid")
     tasks = [(_tradeoff_replicate, (config, 0, rep)) for rep in range(config.replicates)]
     results = _run_tasks(tasks, jobs)
     mat = np.vstack([r.grid_fdp for r in results])

@@ -17,6 +17,9 @@ variable index wins.  A variable dropped at one event may re-enter at the
 next only with the opposite sign (the LARS-Lasso rule, Efron et al. 2004,
 section 3): its correlation meets the penalty level with the old sign exactly
 at the drop, and rounding could otherwise put that root just below it.
+An inactive variable already at the penalty level (an exact tie, as with
++-1 designs) whose correlation the new direction pushes outward enters at
+once, in a zero-length step: an event at the same lam as the one before.
 Coefficients within 1e-12 of zero are treated as zero in support
 computations.
 """
@@ -31,6 +34,10 @@ from scipy.linalg import solve_triangular
 _TIE_REL = 1e-12
 _COEF_ZERO = 1e-12
 _REFRESH_EVERY = 64
+# a tied correlation leaving the penalty level slower than this (per unit
+# decrease of lam) stays out: along the whole path it drifts past the level
+# by less than 1e-9 * lam_max
+_TIE_RATE = 1e-9
 
 
 class DegenerateDesignError(ValueError):
@@ -264,6 +271,10 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
                 if sel.size:
                     j = min(j, int(sel.min()))
             # a drop within the tie window keeps priority over an add
+        lo = lam - window
+        now = ((plus >= lo) & (aj < 1.0 - _TIE_RATE)) | ((minus >= lo) & (aj > _TIE_RATE - 1.0))
+        if np.any(now):  # a tie at lam comes before every later breakpoint
+            cand_lam, kind, j = lam, "add", int(idx[now].min())
 
         if kind is None:
             stopping, lambda_min_valid = "full_path", 0.0
@@ -305,7 +316,8 @@ def coefficients_at(path, lam):
             f"[{path.lambda_min_valid}, {path.lambda_max}] "
             f"(path stopped: {path.stopping_reason})"
         )
-    # events are strictly decreasing in lam; take the last one at or above lam
+    # events are nonincreasing in lam (tied entries share one); take the
+    # last one at or above lam, which holds the whole active set there
     neg_lams = -np.array([ev.lam for ev in path.events])
     ev = path.events[int(np.searchsorted(neg_lams, -lam, side="right")) - 1]
     vals = ev.coef + (ev.lam - lam) * ev.coef_direction

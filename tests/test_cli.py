@@ -136,6 +136,17 @@ def test_boundary_touching_output(tmp_path):
     assert float(rows[1][0]) == 1.0
 
 
+def test_boundary_writes_nothing_when_touching_fails(tmp_path):
+    # every table is computed before any file is written
+    res = run_cli(
+        ["boundary", "--delta", "1", "--epsilon", "0.2", "--touching", "0.5,-1"],
+        outdir=tmp_path,
+    )
+    assert res.returncode == 2
+    assert "positive weights" in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curve_matches_upper_edge(tmp_path):
     out = tmp_path / "c.csv"
     res = run_cli(
@@ -226,6 +237,20 @@ def test_path_table_deterministic(tmp_path):
     assert all(int(r[4]) >= 1 for r in rows)
     # identical bytes on rerun: the replicate stream is counter-based
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_path_needs_no_tpp_grid(tmp_path):
+    config = {key: v for key, v in TINY_SIM_CONFIG.items() if key != "tpp_grid"}
+    out = tmp_path / "p.csv"
+    res = run_cli(["path", "--config", json.dumps(config), "--out", str(out)])
+    assert res.returncode == 0, res.stderr
+    header, _, rows = read_table(out)
+    assert header["config"]["tpp_grid"] == []
+    assert rows
+    # simulate averages onto the grid, so it still needs one
+    res_sim = run_cli(["simulate", "--config", json.dumps(config)], outdir=tmp_path)
+    assert res_sim.returncode == 2
+    assert "tpp_grid" in res_sim.stderr
 
 
 def test_simulate_deterministic_and_jobs_invariant(tmp_path):

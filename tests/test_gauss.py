@@ -42,6 +42,10 @@ def test_mse_null_frozen_and_limits():
     vals = mse_null(a)
     assert np.all(np.diff(vals) < 0)
     assert mse_null(12.0) < 1e-25
+    # past ~1.3e154, alpha^2 overflows to inf where phi(alpha) is 0
+    with np.errstate(over="ignore"):
+        assert mse_null(1e155) == 0.0
+    assert isinstance(mse_null(1.0), np.floating)
 
 
 def test_mse_null_vs_quadrature():
@@ -60,6 +64,12 @@ def test_mse_signal_frozen_and_shape():
         # past ~1.3e154, t^2 overflows to inf where the tail difference is 0
         with np.errstate(over="ignore"):
             assert mse_signal(1e155, alpha) == pytest.approx(1.0 + alpha**2, rel=1e-12)
+    # a threshold past ~1.3e154 kills every signal below it, so the risk is t^2
+    with np.errstate(over="ignore"):
+        assert mse_signal(0.0, 1e155) == 0.0
+        assert mse_signal(3.0, 1e155) == pytest.approx(9.0, rel=1e-12)
+        assert mse_signal(1e155, 1e300) == np.inf
+    assert isinstance(mse_signal(2.0, 1.0), np.floating)
 
 
 def test_mse_signal_vs_quadrature():

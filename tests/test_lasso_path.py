@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lassocrescent import (
     CoefficientSpec,
@@ -230,6 +232,21 @@ def test_duplicate_columns_still_solve():
         assert not {0, 5} <= set(ev.active_set)
 
 
+def test_tied_variables_enter_in_zero_length_steps():
+    # all three correlations reach lambda_max = 2 together, two with sign +1
+    # and one with sign -1; each used to be skipped after the first, since
+    # its entry level equals the current one
+    X = np.eye(5)[:, :4]
+    path = lasso_path(X, np.array([2.0, -2.0, 2.0, 1.0, 0.0]))
+    assert [(ev.lam, ev.kind, ev.variable) for ev in path.events] == [
+        (2.0, "add", 0),
+        (2.0, "add", 1),
+        (2.0, "add", 2),
+        (1.0, "add", 3),
+    ]
+    assert np.allclose(coefficients_at(path, 1.5), [0.5, -0.5, 0.5, 0.0])
+
+
 def test_deterministic():
     rng = np.random.default_rng(43)
     X, y = _random_instance(rng)
@@ -284,3 +301,60 @@ def test_dropped_variable_does_not_reenter_at_next_event():
     limit = 1e-8 * max(1.0, path.lambda_max)
     for ev in path.events:
         assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
+
+
+def _stress_instance(n, p, entries, columns, response, seed):
+    """A small (X, y) with the structure named by the arguments."""
+    rng = np.random.default_rng(seed)
+    if entries == "sign":  # +-1 entries: few distinct correlations, so ties
+        X = rng.choice([-1.0, 1.0], size=(n, p))
+    else:
+        X = rng.normal(size=(n, p)) / np.sqrt(n)
+    if columns != "independent" and p >= 3:
+        i, k, j = rng.choice(p, size=3, replace=False)
+        X[:, j] = {"duplicate": X[:, i], "scaled": -2.0 * X[:, i], "sum": X[:, i] + X[:, k]}[
+            columns
+        ]
+    beta = np.zeros(p)
+    beta[rng.choice(p, size=min(3, p), replace=False)] = rng.integers(-3, 4, size=min(3, p))
+    y = {
+        "zero": np.zeros(n),
+        "sparse": X @ beta,
+        "noisy": X @ beta + 0.5 * rng.normal(size=n),
+    }[response]
+    return X, y
+
+
+@settings(max_examples=45, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 12),
+    p=st.integers(1, 12),
+    entries=st.sampled_from(["gaussian", "sign"]),
+    columns=st.sampled_from(["independent", "duplicate", "scaled", "sum"]),
+    response=st.sampled_from(["zero", "sparse", "noisy"]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=6, p=10, entries="sign", columns="duplicate", response="sparse", seed=1)
+@example(n=12, p=5, entries="gaussian", columns="sum", response="noisy", seed=2)
+@example(n=8, p=8, entries="sign", columns="scaled", response="zero", seed=3)
+@example(n=9, p=1, entries="gaussian", columns="independent", response="noisy", seed=4)
+def test_path_kkt_and_cd_agreement_under_stress(n, p, entries, columns, response, seed):
+    # either a clean DegenerateDesignError or a path that is a Lasso solution
+    # at every event and matches coordinate descent inside its range
+    X, y = _stress_instance(n, p, entries, columns, response, seed)
+    try:
+        path = lasso_path(X, y)
+    except DegenerateDesignError:
+        return
+    limit = 1e-8 * max(1.0, path.lambda_max)
+    for ev in path.events:
+        assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
+    if not path.events:
+        assert not np.any(X.T @ y)
+        return
+    lam = 0.5 * (path.lambda_max + max(path.lambda_min_valid, 1e-3 * path.lambda_max))
+    beta = coefficients_at(path, lam)
+    beta_cd = cd_lasso(X, y, lam)
+    # the fit is unique even where duplicate columns make beta not unique
+    assert np.max(np.abs(X @ (beta - beta_cd))) < 1e-6 * max(1.0, np.linalg.norm(y))
+    assert np.abs(beta).sum() == pytest.approx(np.abs(beta_cd).sum(), rel=1e-6, abs=1e-9)
