@@ -10,9 +10,9 @@ Every file a run writes next to its CSV (such as ``.touching.csv``) is
 compared too.  ``golden/gnuplot/`` pins, for one case of each command, the
 ``--gnuplot`` script and the paths the run prints; those runs write into their
 working directory through a relative ``--out``, so the script names no
-machine-specific directory.  To rewrite them after a deliberate change of the numbers, run
-``python tests/test_golden.py`` (with the package importable) and state the
-change.
+machine-specific directory.  To rewrite them after a deliberate change of the
+numbers, run ``python tests/test_golden.py`` (with the package importable) and
+state the change.
 """
 
 import json

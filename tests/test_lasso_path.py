@@ -312,9 +312,8 @@ def _stress_instance(n, p, entries, columns, response, seed):
         X = rng.normal(size=(n, p)) / np.sqrt(n)
     if columns != "independent" and p >= 3:
         i, k, j = rng.choice(p, size=3, replace=False)
-        X[:, j] = {"duplicate": X[:, i], "scaled": -2.0 * X[:, i], "sum": X[:, i] + X[:, k]}[
-            columns
-        ]
+        linked = {"duplicate": X[:, i], "scaled": -2.0 * X[:, i], "sum": X[:, i] + X[:, k]}
+        X[:, j] = linked[columns]
     beta = np.zeros(p)
     beta[rng.choice(p, size=min(3, p), replace=False)] = rng.integers(-3, 4, size=min(3, p))
     y = {
