@@ -166,6 +166,17 @@ def test_crescent_grid():
         assert math.isfinite(p.t_nabla) and p.varsigma > -p.t_nabla
 
 
+def test_crescent_diverging_lower_edge():
+    # at a large delta and small eps the lower-edge root at u = 0.1 lies past
+    # the scan cap: the point carries t_delta = inf and the q_delta limit 0
+    shape = ModelShape(delta=4.0, epsilon=0.01, sigma=0.0)
+    pt = crescent(shape, n_points=9)[0]
+    assert pt.u == pytest.approx(0.1)
+    assert pt.t_delta == math.inf
+    assert pt.q_delta == 0.0 == q_delta(0.1, shape)
+    assert math.isfinite(pt.t_nabla)
+
+
 def test_crescent_truncates_infeasible_levels():
     # above the phase transition high TPP levels drop off the grid
     pts = crescent(ModelShape(delta=0.3, epsilon=0.25, sigma=0.0), n_points=9)
