@@ -28,6 +28,7 @@ from .harness import (
     prior_from_json,
     run_rank_experiment,
     run_tradeoff_experiment,
+    _json_fields,
     _simulate_instance,
 )
 from .lasso_path import lasso_path, tpp_fdp_along_path
@@ -87,12 +88,16 @@ def _fmt(v):
 def _load_config_arg(args):
     if not args.config:
         return None
-    try:
+    if os.path.isfile(args.config):
         with open(args.config) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        # allow passing JSON inline
-        return json.loads(args.config)
+            obj = json.load(fh)
+    elif args.config.lstrip().startswith("{"):
+        obj = json.loads(args.config)  # inline JSON
+    else:
+        raise ValueError(f"config file {args.config!r} not found (inline JSON starts with '{{')")
+    if not isinstance(obj, dict):
+        raise ValueError(f"--config must hold a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _shape_from(args, obj):
@@ -101,7 +106,8 @@ def _shape_from(args, obj):
     sigma = args.sigma if args.sigma is not None else (obj or {}).get("sigma", 0.0)
     if delta is None or epsilon is None:
         raise ValueError("delta and epsilon are required (flags or --config)")
-    return ModelShape(delta=float(delta), epsilon=float(epsilon), sigma=float(sigma))
+    with _json_fields("shape"):
+        return ModelShape(delta=float(delta), epsilon=float(epsilon), sigma=float(sigma))
 
 
 def _cmd_boundary(args):
@@ -139,8 +145,8 @@ def _cmd_curve(args):
     obj = _load_config_arg(args)
     shape = _shape_from(args, obj)
     spec = json.loads(args.prior) if args.prior else (obj or {}).get("prior")
-    if spec is None:
-        raise ValueError("curve needs a prior (--prior JSON or 'prior' in --config)")
+    if not isinstance(spec, dict):
+        raise ValueError("curve needs a prior object (--prior JSON or 'prior' in --config)")
     if "epsilon" not in spec and args.epsilon is not None:
         spec = {**spec, "epsilon": args.epsilon}
     prior = prior_from_json(spec)

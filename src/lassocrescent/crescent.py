@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, elementwise
 
 from .errors import ConvergenceError, DivergingRootError, InfeasibleRegionError
 # Unchecked kernels, bound to the public names that perfbench/tracing.py wraps
@@ -113,16 +113,19 @@ def t_delta(u, shape):
             f"lower-edge root {root:.6f} falls below alpha_min at u = {u} "
             f"(beyond the phase-transition range for {shape})"
         )
-    mn = mse_null(root)
-    resid = (
-        ((1.0 - shape.epsilon) * mn + shape.epsilon * (1.0 + root**2) - shape.delta)
-        / (shape.epsilon * (1.0 + root**2 - mn))
-        * (1.0 - 2.0 * normal_cdf(-root))
-        - (1.0 - u)
-    )
+    # residual of N(t)/D(t) (1 - 2 Phi(-t)) = 1 - u, which is G(t)/D(t)
+    resid = float(_lower_gap(root, u, shape)) / (shape.epsilon * (1.0 + root**2 - mse_null(root)))
     if abs(resid) > _EQ_TOL:
         raise ConvergenceError(f"lower-edge residual {resid:.2e} at u = {u}")
     return root
+
+
+def _t_delta_or_inf(u, shape):
+    # past the scan cap the root diverges: t = inf gives FDP 0 and tail mass 0
+    try:
+        return t_delta(u, shape)
+    except DivergingRootError:
+        return math.inf
 
 
 def q_delta(u, shape):
@@ -131,11 +134,7 @@ def q_delta(u, shape):
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     if u == 0.0:
         return 0.0
-    try:
-        t = t_delta(u, shape)
-    except DivergingRootError:
-        return 0.0
-    return _fdp_at(t, u, shape.epsilon)
+    return _fdp_at(_t_delta_or_inf(u, shape), u, shape.epsilon)
 
 
 def varsigma(alpha, shape):
@@ -182,19 +181,16 @@ def _mtilde_grid(alphas, shape):
     eps = shape.epsilon
     mn = mse_null(alphas)
     target = (shape.delta - (1.0 - eps) * mn) / eps
-    lo = np.zeros_like(alphas)
-    hi = alphas + 5.0
-    for _ in range(60):
-        bad = mse_signal(hi, alphas) <= target
-        if not np.any(bad):
-            break
-        hi = np.where(bad, 2.0 * hi, hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = mse_signal(mid, alphas) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+
+    def f(m, a, t):
+        return mse_signal(m, a) - t
+
+    args = (alphas, target)
+    bracket = elementwise.bracket_root(f, alphas + 5.0, xmin=0.0, args=args).bracket
+    root = elementwise.find_root(f, bracket, args=args)
+    if not np.all(root.success):  # also false where no bracket was found
+        raise ConvergenceError(f"failed to solve mtilde on the upper-edge table for {shape}")
+    return root.x
 
 
 @lru_cache(maxsize=64)
@@ -276,11 +272,8 @@ def crescent(shape, n_points=99):
     for j in range(1, n_points + 1):
         u = j / (n_points + 1.0)
         try:
-            try:
-                td = t_delta(u, shape)
-                qd = _fdp_at(td, u, shape.epsilon)
-            except DivergingRootError:
-                td, qd = math.inf, 0.0
+            td = _t_delta_or_inf(u, shape)
+            qd = _fdp_at(td, u, shape.epsilon)
             tn, vs = t_nabla(u, shape)
             qn = _fdp_at(tn, u, shape.epsilon)
         except InfeasibleRegionError:
@@ -316,10 +309,7 @@ def touching_points(gamma, shape):
     suffix = np.cumsum(gamma[::-1])[::-1]  # suffix[i] = gamma_i + ... + gamma_m
 
     def tail(u):
-        try:
-            return normal_cdf(-t_delta(u, shape))
-        except DivergingRootError:  # threshold beyond the scan cap: no tail mass
-            return 0.0
+        return normal_cdf(-_t_delta_or_inf(u, shape))
 
     points = []
     for g in suffix:

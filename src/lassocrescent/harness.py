@@ -40,6 +40,7 @@ from .state_evolution import DiscretePrior
 
 _DESIGN_KINDS = ("iid_gaussian", "correlated_gaussian", "bernoulli_pm", "genotype_file")
 _COEF_KINDS = ("prior_sample", "fixed_levels", "geometric", "linear", "equal")
+_K_KINDS = ("geometric", "linear", "equal")  # the kinds whose support size is k
 _MAGNITUDE_CAP = 1e300
 
 
@@ -162,6 +163,15 @@ class ExperimentConfig:
             raise ValueError(f"sweep_param must be '', 'k' or 'rho', got {self.sweep_param!r}")
         if self.sweep_param and not self.sweep_values:
             raise ValueError("sweep_values must be nonempty when sweep_param is set")
+        # a sweep over a parameter the draw ignores would repeat one setting
+        if self.sweep_param == "k" and self.coefficients.kind not in _K_KINDS:
+            raise ValueError(
+                f"a k sweep needs coefficients of kind {_K_KINDS}, got {self.coefficients.kind!r}"
+            )
+        if self.sweep_param == "rho" and self.design.kind != "correlated_gaussian":
+            raise ValueError(
+                f"a rho sweep needs a correlated_gaussian design, got {self.design.kind!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -283,11 +293,11 @@ def _tradeoff_replicate(config, tag, rep_id):
     # active set is comfortably larger than the discoveries needed there;
     # fall back to the unrestricted path in the rare case the cap was hit
     # before the top grid point was reached.
-    n = X.shape[0]
-    cap = min(n - 1, X.shape[1], 2 * len(support) + 64)
+    full = max(1, min(X.shape[0] - 1, X.shape[1]))  # lasso_path's default size
+    cap = min(full, 2 * len(support) + 64)
     path = lasso_path(X, y, max_active=cap)
     samples = tpp_fdp_along_path(path, support)
-    if cap < min(n - 1, X.shape[1]):
+    if cap < full:
         reached = max((s[1] for s in samples), default=0.0)
         if reached < config.tpp_grid[-1] and path.stopping_reason == "max_active":
             path = lasso_path(X, y)
@@ -437,12 +447,23 @@ def run_rank_experiment(config, jobs=1):
 # --- JSON config (used by the command line tool) ---------------------------
 
 
+@contextlib.contextmanager
+def _json_fields(name):
+    """Report a missing or mistyped field of the JSON object ``name`` as ValueError."""
+    try:
+        yield
+    except KeyError as missing:
+        raise ValueError(f"{name} is missing field {missing}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"{name} has a field of the wrong type: {exc}") from None
+
+
 def prior_from_json(obj):
     """DiscretePrior from {"kind": "homogeneous"|"heterogeneous"|"levels", ...}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("prior must be an object with a 'kind' field")
     kind = obj["kind"]
-    try:
+    with _json_fields("prior spec"):
         if kind == "homogeneous":
             return DiscretePrior.homogeneous(obj["epsilon"], obj["magnitude"])
         if kind == "heterogeneous":
@@ -451,8 +472,6 @@ def prior_from_json(obj):
             return DiscretePrior.from_levels(
                 obj["epsilon"], obj["values"], obj.get("weights")
             )
-    except KeyError as missing:
-        raise ValueError(f"prior spec is missing field {missing}") from None
     raise ValueError(f"unknown prior kind {kind!r}")
 
 
@@ -460,53 +479,51 @@ def config_from_json(obj):
     """ExperimentConfig from a parsed JSON object (field-checked)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    try:
+    with _json_fields("config"):
         d = dict(obj["design"])
         c = dict(obj["coefficients"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"config needs 'design' and 'coefficients' objects: {exc}") from None
-    design = DesignSpec(
-        kind=d.pop("kind"),
-        n=int(d.pop("n", 0)),
-        p=int(d.pop("p", 0)),
-        rho=float(d.pop("rho", 0.0)),
-        structure=d.pop("structure", "toeplitz"),
-        path=d.pop("path", ""),
-        variance_scale=d.pop("variance_scale", None),
-    )
-    if d:
-        raise ValueError(f"unknown design fields: {sorted(d)}")
-    prior = c.pop("prior", None)
-    coefficients = CoefficientSpec(
-        kind=c.pop("kind"),
-        p=int(c.pop("p", design.p)),
-        prior=prior_from_json(prior) if prior is not None else None,
-        values=tuple(c.pop("values", ())),
-        counts=tuple(int(x) for x in c.pop("counts", ())),
-        magnitude=float(c.pop("magnitude", 0.0)),
-        k=int(c.pop("k", 0)),
-    )
-    if c:
-        raise ValueError(f"unknown coefficient fields: {sorted(c)}")
-    # a file missing here is left to fail in every replicate
-    if design.kind == "genotype_file" and os.path.isfile(design.path):
-        n_cols = load_design_file(design.path).shape[1]
-        if coefficients.p != n_cols:
-            raise ValueError(
-                f"coefficients.p = {coefficients.p} disagrees with the {n_cols} columns "
-                f"of {design.path}"
-            )
-    return ExperimentConfig(
-        design=design,
-        coefficients=coefficients,
-        sigma=float(obj.get("sigma", 0.0)),
-        replicates=int(obj.get("replicates", 1)),
-        seed=int(obj.get("seed", 0)),
-        mode=obj.get("mode", "tradeoff"),
-        tpp_grid=tuple(obj.get("tpp_grid", ())),
-        sweep_param=obj.get("sweep_param", ""),
-        sweep_values=tuple(obj.get("sweep_values", ())),
-    )
+        design = DesignSpec(
+            kind=d.pop("kind", None),
+            n=int(d.pop("n", 0)),
+            p=int(d.pop("p", 0)),
+            rho=float(d.pop("rho", 0.0)),
+            structure=d.pop("structure", "toeplitz"),
+            path=d.pop("path", ""),
+            variance_scale=d.pop("variance_scale", None),
+        )
+        if d:
+            raise ValueError(f"unknown design fields: {sorted(d)}")
+        prior = c.pop("prior", None)
+        coefficients = CoefficientSpec(
+            kind=c.pop("kind", None),
+            p=int(c.pop("p", design.p)),
+            prior=prior_from_json(prior) if prior is not None else None,
+            values=tuple(c.pop("values", ())),
+            counts=tuple(int(x) for x in c.pop("counts", ())),
+            magnitude=float(c.pop("magnitude", 0.0)),
+            k=int(c.pop("k", 0)),
+        )
+        if c:
+            raise ValueError(f"unknown coefficient fields: {sorted(c)}")
+        # a file missing here is left to fail in every replicate
+        if design.kind == "genotype_file" and os.path.isfile(design.path):
+            n_cols = load_design_file(design.path).shape[1]
+            if coefficients.p != n_cols:
+                raise ValueError(
+                    f"coefficients.p = {coefficients.p} disagrees with the {n_cols} columns "
+                    f"of {design.path}"
+                )
+        return ExperimentConfig(
+            design=design,
+            coefficients=coefficients,
+            sigma=float(obj.get("sigma", 0.0)),
+            replicates=int(obj.get("replicates", 1)),
+            seed=int(obj.get("seed", 0)),
+            mode=obj.get("mode", "tradeoff"),
+            tpp_grid=tuple(obj.get("tpp_grid", ())),
+            sweep_param=obj.get("sweep_param", ""),
+            sweep_values=tuple(obj.get("sweep_values", ())),
+        )
 
 
 def config_to_json(config):

@@ -461,6 +461,16 @@ class _CurveSolver:
         root = brentq(self.lam, *walk, xtol=1e-13, rtol=8.9e-16)
         return root + max(1e-9, 1e-9 * root)
 
+    def walk_up(self, a_min, tpp, cap):
+        """Walk alpha up from max(4 a_min, 4) by factors of 1.5 to the first
+        point with TPP <= ``tpp``, or past ``cap``; returns (end, cap used)."""
+        a_start = max(4.0 * a_min, 4.0)
+        cap = max(a_start, cap)
+        _, end = _bracket_walk(
+            a_start, lambda a: 1.5 * a, lambda a: a <= cap and self.tpp(a) > tpp
+        )
+        return end, cap
+
     def alpha_at_tpp(self, target, a_lo, a_hi):
         return brentq(
             lambda a: self.tpp(a) - target, a_lo, a_hi, xtol=1e-13, rtol=8.9e-16
@@ -483,13 +493,7 @@ def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
     a_min = solver.feasible_alpha_lo()
     u_max_ach = solver.tpp(a_min)
 
-    # grow the upper alpha end until the TPP drops below the requested low
-    # end; the start is always tested, a later point past 80 ends the walk
-    a_start = max(4.0 * a_min, 4.0)
-    cap = max(a_start, 80.0)
-    _, a_max = _bracket_walk(
-        a_start, lambda a: 1.5 * a, lambda a: a <= cap and solver.tpp(a) > tpp_lo
-    )
+    a_max, _ = solver.walk_up(a_min, tpp_lo, 80.0)
     u_min_ach = solver.tpp(a_max)
 
     lo = max(tpp_lo, u_min_ach + 1e-12)
@@ -505,15 +509,12 @@ def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
     grid = np.geomspace(a_min, a_max, 48)
     grid_u = np.array([solver.tpp(a) for a in grid])
 
-    out_alpha = np.empty(n_points)
-    for i, u in enumerate(targets):
-        k = int(np.searchsorted(-grid_u, -u))  # first index with grid_u[k] <= u
-        if k == 0:
-            out_alpha[i] = grid[0]
-        elif k >= len(grid):
-            out_alpha[i] = grid[-1]
-        else:
-            out_alpha[i] = solver.alpha_at_tpp(u, grid[k - 1], grid[k])
+    # geomspace pins grid[0] = a_min and grid[-1] = a_max, so every target lies
+    # in (grid_u[-1], grid_u[0]) and its first k with grid_u[k] <= u has 0 < k < 48
+    ks = np.searchsorted(-grid_u, -targets)
+    out_alpha = np.array(
+        [solver.alpha_at_tpp(u, grid[k - 1], grid[k]) for u, k in zip(targets, ks)]
+    )
 
     tpps = np.empty(n_points)
     fdps = np.empty(n_points)
@@ -547,12 +548,7 @@ def tradeoff_at_tpp(prior, shape, tpp):
         raise InfeasibleRegionError(
             f"TPP = {tpp} outside achievable range (0, {solver.tpp(a_min):.6f})"
         )
-    # grow the upper end as tradeoff_curve does; a point past 100 is an error
-    a_start = max(4.0 * a_min, 4.0)
-    cap = max(a_start, 100.0)
-    _, a_hi = _bracket_walk(
-        a_start, lambda a: 1.5 * a, lambda a: a <= cap and solver.tpp(a) > tpp
-    )
+    a_hi, cap = solver.walk_up(a_min, tpp, 100.0)
     if a_hi > cap:
         raise ConvergenceError(f"failed to bracket TPP = {tpp} from above")
     alpha = solver.alpha_at_tpp(tpp, a_min, a_hi)

@@ -317,11 +317,31 @@ def test_outdir_environment_default(tmp_path):
     assert str(expected) in res.stdout
 
 
-def test_malformed_config_exit_code(tmp_path):
+def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
     res = run_cli(["simulate", "--config", "{not json"], outdir=tmp_path)
     assert res.returncode == 2
     res_missing = run_cli(["simulate"], outdir=tmp_path)
     assert res_missing.returncode == 2
+    # JSON of the wrong shape is invalid input too: exit 2 with an error line,
+    # not an exception out of main
+    sim, rank = TINY_SIM_CONFIG, TINY_RANK_CONFIG
+    (tmp_path / "list.json").write_text("[1, 2]")
+    monkeypatch.setenv("LASSOCRESCENT_OUTDIR", str(tmp_path))
+    for argv in (
+        ["simulate", "--config", json.dumps({**sim, "design": {"n": 40, "p": 40}})],
+        ["simulate", "--config", json.dumps({**sim, "coefficients": {"k": 5}})],
+        ["simulate", "--config", "[1,2]"],
+        ["simulate", "--config", str(tmp_path / "list.json")],
+        ["boundary", "--config", "[1]"],
+        ["boundary", "--config", '{"delta": [1], "epsilon": 0.2}'],
+        ["curve", "--delta", "1", "--epsilon", "0.2", "--prior", "[1]"],
+        ["curve", "--delta", "1", "--prior", '{"kind": "homogeneous", "epsilon": "a"}'],
+        ["simulate", "--config", json.dumps({**sim, "tpp_grid": 5})],
+        ["simulate", "--config", json.dumps({**sim, "sigma": None})],
+        ["rank", "--config", json.dumps({**rank, "sweep_values": 3})],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
     # coefficients.p against the columns of a genotype file
     fpath = tmp_path / "geno.csv"
     np.savetxt(fpath, np.random.default_rng(8).integers(0, 3, size=(40, 7)), delimiter=",")
@@ -333,6 +353,13 @@ def test_malformed_config_exit_code(tmp_path):
     res_cols = run_cli(["simulate", "--config", json.dumps(config)], outdir=tmp_path)
     assert res_cols.returncode == 2
     assert "7 columns" in res_cols.stderr
+
+
+def test_missing_config_file_names_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "experiment.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'experiment.json' not found" in err
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -13,6 +13,7 @@ from lassocrescent import (
     config_from_json,
     config_to_json,
     fdp_on_grid,
+    lasso_path,
     load_design_file,
     prior_from_json,
     replicate_rng,
@@ -20,7 +21,9 @@ from lassocrescent import (
     run_tradeoff_experiment,
     sample_coefficients,
     sample_design,
+    tpp_fdp_along_path,
 )
+from lassocrescent.harness import _simulate_instance
 
 
 # --- designs ------------------------------------------------------------------
@@ -250,6 +253,62 @@ def test_run_tradeoff_mode_check():
     rank_cfg = dataclasses.replace(config, mode="rank", tpp_grid=())
     with pytest.raises(ValueError):
         run_tradeoff_experiment(rank_cfg)
+
+
+def test_tradeoff_replicate_at_one_observation():
+    # the path's size cap was min(n - 1, p, 2k + 64) = 0 at n = 1
+    config = _tiny_tradeoff_config(
+        design=DesignSpec(kind="iid_gaussian", n=1, p=5),
+        coefficients=CoefficientSpec(kind="equal", p=5, magnitude=5.0, k=2),
+        sigma=0.0,
+        replicates=1,
+        tpp_grid=(0.5,),
+    )
+    X, y, _ = _simulate_instance(config, 0)
+    assert run_tradeoff_experiment(config).replicates[0].n_events == len(lasso_path(X, y).events)
+
+
+def test_tradeoff_replicate_reruns_a_capped_path():
+    # replicate 0's path, capped at 2k + 64 = 84 active variables, stops at
+    # TPP 0.8 short of the top grid point 1.0 and is solved again in full
+    config = _tiny_tradeoff_config(
+        design=DesignSpec(kind="iid_gaussian", n=120, p=120),
+        coefficients=CoefficientSpec(kind="equal", p=120, magnitude=1.0, k=10),
+        sigma=1.0,
+        replicates=1,
+        tpp_grid=(0.5, 1.0),
+    )
+    X, y, support = _simulate_instance(config, 0)
+    capped = lasso_path(X, y, max_active=84)
+    assert capped.stopping_reason == "max_active"
+    assert max(tpp for _, tpp, _ in tpp_fdp_along_path(capped, support)) < 1.0
+    full = lasso_path(X, y)
+    _, tpps, fdps = zip(*tpp_fdp_along_path(full, support))
+    rep = run_tradeoff_experiment(config).replicates[0]
+    assert rep.n_events == len(full.events) > len(capped.events)
+    assert np.array_equal(rep.grid_fdp, fdp_on_grid(tpps, fdps, config.tpp_grid))
+
+
+def test_sweeps_need_a_parameter_the_draw_uses():
+    base = dict(
+        design=DesignSpec(kind="iid_gaussian", n=30, p=30),
+        sigma=0.0,
+        replicates=1,
+        seed=0,
+        mode="rank",
+    )
+    prior = DiscretePrior.homogeneous(0.1, 2.0)
+    for coefficients in (
+        CoefficientSpec(kind="fixed_levels", p=30, values=(1.0, 2.0), counts=(1, 1)),
+        CoefficientSpec(kind="prior_sample", p=30, prior=prior),
+    ):
+        with pytest.raises(ValueError, match="k sweep"):
+            ExperimentConfig(
+                coefficients=coefficients, sweep_param="k", sweep_values=(2, 30), **base
+            )
+    linear = CoefficientSpec(kind="linear", p=30, k=2)
+    with pytest.raises(ValueError, match="rho sweep"):
+        ExperimentConfig(coefficients=linear, sweep_param="rho", sweep_values=(0.1, 0.5), **base)
 
 
 def test_run_rank_experiment_sweep_k():
