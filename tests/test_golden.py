@@ -3,9 +3,10 @@
 
 The simulation files were written by the command line tool before the harness
 runner was refactored, the ``boundary``/``curve`` files before the theory
-half's bracket walks were merged, and ``path_drops.csv`` before the path
-solver's active set moved into preallocated buffers, so they pin the numbers
-across refactors.
+half's bracket walks were merged, ``path_drops.csv`` before the path
+solver's active set moved into preallocated buffers, and ``path_pm.csv`` before
+its breakpoint search was merged into one, so they pin the numbers across
+refactors.
 Every file a run writes next to its CSV (such as ``.touching.csv``) is
 compared too.  ``golden/gnuplot/`` pins, for one case of each command, the
 ``--gnuplot`` script and the paths the run prints; those runs write into their
@@ -70,6 +71,15 @@ DROPS_CONFIG = {
     "tpp_grid": [0.5],
 }
 
+# a +-1 design with exact ties: three entries at lambda_max, in zero-length steps
+PM_CONFIG = {
+    "design": {"kind": "bernoulli_pm", "n": 30, "p": 40},
+    "coefficients": {"kind": "equal", "magnitude": 1.0, "k": 6},
+    "sigma": 0.0,
+    "seed": 2,
+    "replicates": 1,
+}
+
 SHAPE_ARGS = ["--delta", "1", "--epsilon", "0.2"]
 
 # golden file -> (command line without --out, worker counts it must hold at)
@@ -97,6 +107,7 @@ CASES = {
         ["path", "--config", json.dumps(DROPS_CONFIG), "--replicate", "0"],
         (None,),
     ),
+    "path_pm.csv": (["path", "--config", json.dumps(PM_CONFIG), "--replicate", "0"], (None,)),
 }
 
 # one case per command; boundary's also pins the order CSV, .touching.csv, .gp

@@ -247,6 +247,21 @@ def test_tied_variables_enter_in_zero_length_steps():
     assert np.allclose(coefficients_at(path, 1.5), [0.5, -0.5, 0.5, 0.0])
 
 
+def test_drop_before_add_in_one_tie_window():
+    # at lam = 2 coefficient 0 reaches zero as the correlation of variable 1
+    # reaches the penalty level: the drop is processed first, then 1 enters,
+    # then 0 re-enters with the opposite sign in a zero-length step
+    X = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 1.0], [1.0, 2.0, 0.0], [-2.0, -2.0, 0.0]])
+    y = np.array([0.0, 4.0, -4.0, -1.0])
+    path = lasso_path(X, y)
+    got = [(ev.kind, ev.variable) for ev in path.events]
+    assert got == [("add", 0), ("add", 2), ("drop", 0), ("add", 1), ("add", 0)]
+    lams = [ev.lam for ev in path.events]
+    assert lams == pytest.approx([6.0, 40.0 / 11.0, 2.0, 2.0, 2.0], rel=1e-14)
+    for ev in path.events:
+        assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < 1e-12
+
+
 def test_deterministic():
     rng = np.random.default_rng(43)
     X, y = _random_instance(rng)
