@@ -11,17 +11,20 @@ coefficients, Cholesky factor and columns live in buffers preallocated for
 max_active + 1 variables, each used through its first |A| slots; a drop
 shifts the slots after the dropped one down by one.
 
-Tie handling: candidates within 1e-12 (relative) of the winning breakpoint
-are grouped; a drop is processed before an add, and otherwise the lowest
-variable index wins.  A variable dropped at one event may re-enter at the
-next only with the opposite sign (the LARS-Lasso rule, Efron et al. 2004,
-section 3): its correlation meets the penalty level with the old sign exactly
-at the drop, and rounding could otherwise put that root just below it.
-An inactive variable already at the penalty level (an exact tie, as with
-+-1 designs) whose correlation the new direction pushes outward enters at
-once, in a zero-length step: an event at the same lam as the one before.
-Coefficients within 1e-12 of zero are treated as zero in support
-computations.
+Tie handling: each variable has one level, the next penalty value at which
+it changes state.  An inactive variable's level is its entry level, the
+larger valid root at which its correlation meets the penalty level; one
+already at the current lam (an exact tie, as with +-1 designs) whose
+correlation the new direction pushes outward gets lam itself, and enters in a
+zero-length step: an event at the same lam as the one before.  An active
+variable's level is its drop level, where its coefficient reaches zero.  The
+next breakpoint is the highest level; within 1e-12 (relative) of it a drop
+goes first, then the lowest variable index.  A variable dropped at one event
+may re-enter at the next only with the opposite sign (the LARS-Lasso rule,
+Efron et al. 2004, section 3): its correlation meets the penalty level with
+the old sign exactly at the drop, and rounding could otherwise put that root
+just below it.  Coefficients within 1e-12 of zero are treated as zero in
+support computations.
 """
 
 import math
@@ -180,7 +183,6 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     sgn = np.zeros(m)
     beta = np.zeros(m)
     k = 0
-    inactive_mask = np.ones(p, dtype=bool)
     events = []
     dropped = None  # (variable, sign) removed at the previous event
     tie = lambda level: _TIE_REL * max(1.0, level)
@@ -190,6 +192,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     kind, j = "add", int(np.flatnonzero(np.abs(c) >= lam - tie(lam)).min())
     while True:
         if kind == "drop":
+            pos = active.index(j)
             _chol_delete(L, k, pos)
             dropped = (j, sgn[pos])
             active = active[:pos] + active[pos + 1 :]
@@ -204,7 +207,6 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             beta[k] = 0.0
             k += 1
             dropped = None
-        inactive_mask[j] = kind == "drop"
 
         # direction for the new active set; stored on the event and reused
         w = solve_triangular(L[:k, :k], sgn[:k], lower=True, check_finite=False)
@@ -233,52 +235,34 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         if len(events) % _REFRESH_EVERY == 0:
             c = X.T @ (y - XA[:, :k] @ b)
 
-        # next breakpoint
+        # next breakpoint: the highest of one level per variable (see "Tie
+        # handling" above)
         a = X.T @ (XA[:, :k] @ d)
-        cand_lam, kind = -1.0, None
-        window = tie(lam)
-
-        # drop candidates: active coefficient hits zero at lam' = lam + b/d
+        lo = lam - tie(lam)
         with np.errstate(divide="ignore", invalid="ignore"):
-            drop_at = lam + np.where(d != 0.0, b / d, -np.inf)
-        drop_at[np.abs(d) < 1e-300] = -np.inf
-        drop_ok = (drop_at > 0.0) & (drop_at < lam - window)
-        if np.any(drop_ok):
-            pos = int(np.argmax(np.where(drop_ok, drop_at, -np.inf)))
-            cand_lam = float(drop_at[pos])
-            kind, j = "drop", active[pos]
-
-        # entry candidates: inactive correlation meets the penalty level
-        idx = np.flatnonzero(inactive_mask)
-        cj, aj = c[idx], a[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plus = (cj - lam * aj) / (1.0 - aj)
-            minus = (lam * aj - cj) / (1.0 + aj)
+            plus = (c - lam * a) / (1.0 - a)
+            minus = (lam * a - c) / (1.0 + a)
+            drop_at = lam + b / d
         if dropped is not None:  # no same-sign re-entry right after a drop
             jd, sd = dropped
-            (plus if sd > 0 else minus)[idx == jd] = np.nan
-        for cand in (plus, minus):
-            ok = np.isfinite(cand) & (cand > 0.0) & (cand < lam - window)
-            if not np.any(ok):
-                continue
-            best = float(np.max(cand[ok]))
-            if best > cand_lam + tie(best):
-                sel = idx[ok & (cand >= best - tie(best))]
-                cand_lam = best
-                kind, j = "add", int(sel.min())
-            elif kind == "add" and best >= cand_lam - tie(best):
-                sel = idx[ok & (cand >= cand_lam - tie(cand_lam))]
-                if sel.size:
-                    j = min(j, int(sel.min()))
-            # a drop within the tie window keeps priority over an add
-        lo = lam - window
-        now = ((plus >= lo) & (aj < 1.0 - _TIE_RATE)) | ((minus >= lo) & (aj > _TIE_RATE - 1.0))
-        if np.any(now):  # a tie at lam comes before every later breakpoint
-            cand_lam, kind, j = lam, "add", int(idx[now].min())
-
-        if kind is None:
+            (plus if sd > 0 else minus)[jd] = np.nan
+        level = np.maximum(
+            np.where((plus > 0.0) & (plus < lo), plus, -np.inf),
+            np.where((minus > 0.0) & (minus < lo), minus, -np.inf),
+        )
+        at_lam = ((plus >= lo) & (a < 1.0 - _TIE_RATE)) | ((minus >= lo) & (a > _TIE_RATE - 1.0))
+        level[at_lam] = lam
+        level[list(active)] = np.where(
+            (drop_at > 0.0) & (drop_at < lo) & (np.abs(d) >= 1e-300), drop_at, -np.inf
+        )
+        cand_lam = float(level.max())
+        if cand_lam == -np.inf:
             stopping, lambda_min_valid = "full_path", 0.0
             break
+        # within the tie window a drop goes first, then the lowest index
+        near = np.flatnonzero(level >= cand_lam - tie(cand_lam)).tolist()
+        drops = [v for v in near if v in active]
+        kind, j = ("drop", drops[0]) if drops else ("add", near[0])
         if cand_lam <= lambda_floor:
             stopping, lambda_min_valid = "lambda_floor", lambda_floor
             break
