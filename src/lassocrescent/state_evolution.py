@@ -235,11 +235,12 @@ def _null_excess(alpha, shape):
 @lru_cache(maxsize=256)
 def _noiseless_floor_cached(delta, epsilon):
     shape = ModelShape(delta=delta, epsilon=epsilon, sigma=0.0)
-    grid = np.linspace(0.0, 60.0, 2401)
+    # N(a) >= eps > 0 at a^2 = delta/eps, so the scan ends above the largest root
+    grid = np.linspace(0.0, max(60.0, math.sqrt(delta / epsilon)), 2401)
     vals = _null_excess(grid, shape)
-    if vals[-1] <= 0.0:  # would need a scan cap above 60; not reachable for eps >= 1e-3
+    if not (np.isfinite(grid[-1]) and vals[-1] > 0.0):  # delta/eps can overflow
         raise ConvergenceError(
-            f"noiseless floor search failed: N(60) = {vals[-1]} <= 0 for {shape}"
+            f"noiseless floor search failed: N({grid[-1]}) = {vals[-1]} for {shape}"
         )
     neg = np.nonzero(vals < 0.0)[0]
     if len(neg) == 0:

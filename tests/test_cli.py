@@ -104,6 +104,15 @@ def test_boundary_rejects_noise(tmp_path):
     assert "noiseless" in res.stderr
 
 
+def test_boundary_noiseless_floor_above_60(tmp_path):
+    # the noiseless alpha floor is about sqrt(delta/eps) = 63.2 here
+    res = run_cli(
+        ["boundary", "--delta", "4", "--epsilon", "0.001", "--n-points", "2"],
+        outdir=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_boundary_infeasible_exit_code(tmp_path):
     res = run_cli(
         ["boundary", "--delta", "0.05", "--epsilon", "0.9", "--n-points", "1"],
