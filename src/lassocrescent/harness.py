@@ -163,6 +163,8 @@ class ExperimentConfig:
             raise ValueError(f"sweep_param must be '', 'k' or 'rho', got {self.sweep_param!r}")
         if self.sweep_param and not self.sweep_values:
             raise ValueError("sweep_values must be nonempty when sweep_param is set")
+        if self.sweep_param and self.mode == "tradeoff":
+            raise ValueError("a sweep needs mode 'rank'; tradeoff experiments run one setting")
         # a sweep over a parameter the draw ignores would repeat one setting
         if self.sweep_param == "k" and self.coefficients.kind not in _K_KINDS:
             raise ValueError(

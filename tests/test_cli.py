@@ -348,6 +348,7 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
         ["simulate", "--config", json.dumps({**sim, "tpp_grid": 5})],
         ["simulate", "--config", json.dumps({**sim, "sigma": None})],
         ["rank", "--config", json.dumps({**rank, "sweep_values": 3})],
+        ["simulate", "--config", json.dumps({**sim, "sweep_param": "k", "sweep_values": [2]})],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
