@@ -123,8 +123,8 @@ def test_noiseless_alpha_floor():
         alpha_min(sh_noisy), abs=1e-12
     )
 
-    # a floor above 60, where the alpha scan used to end; mse_null underflows
-    # to 0 there, so the floor is sqrt(delta/eps - 1)
+    # a floor above 60: mse_null underflows to 0 there, so the floor is
+    # sqrt(delta/eps - 1)
     f = noiseless_alpha_floor(ModelShape(delta=4.0, epsilon=1e-3, sigma=0.0))
     assert f == pytest.approx(math.sqrt(3999.0), rel=1e-12)
     above = f + np.geomspace(1e-6, f, 30)
