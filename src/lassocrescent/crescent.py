@@ -82,8 +82,9 @@ def t_delta(u, shape):
     """Lower-edge threshold: largest root of the heterogeneous-limit balance.
 
     Scans downward from t = 60 in steps of 0.05 for a sign change, then
-    bisects.  Raises ``DivergingRootError`` when the root lies above the scan
-    cap (u small enough that the edge has already hit zero FDP) and
+    bisects.  A root above 60 is bisected on [60, max(60, 3 sqrt(delta/eps))].
+    Raises ``DivergingRootError`` when the root lies above that scan cap (u
+    small enough that the edge has already hit zero FDP) and
     ``InfeasibleRegionError`` when no root exists above the admissible
     threshold range (u beyond the phase-transition cut).
     """
@@ -92,19 +93,27 @@ def t_delta(u, shape):
     grid = np.arange(_T_MAX, _SCAN_STEP / 2.0, -_SCAN_STEP)
     vals = _lower_gap(grid, u, shape)
     if vals[0] < 0.0:
-        raise DivergingRootError(
-            f"lower-edge root exceeds t = {_T_MAX} at u = {u} for {shape}"
-        )
-    below = np.nonzero(vals < 0.0)[0]
-    if len(below) == 0:
-        raise InfeasibleRegionError(
-            f"no lower-edge root in (0, {_T_MAX}] at u = {u} for {shape}"
-        )
-    k = below[0]
+        # past t = 60, Phi(-t) and mse_null(t) are 0 in double, so G(t) =
+        # u eps (1 + t^2) - delta rises with t; its root sqrt(delta/(u eps) - 1)
+        # lies below the cap for every u >= 1/9
+        cap = max(_T_MAX, 3.0 * math.sqrt(shape.delta / shape.epsilon))
+        if not (math.isfinite(cap * cap) and _lower_gap(cap, u, shape) > 0.0):
+            raise DivergingRootError(
+                f"lower-edge root exceeds t = {cap} at u = {u} for {shape}"
+            )
+        lo, hi = _T_MAX, cap
+    else:
+        below = np.nonzero(vals < 0.0)[0]
+        if len(below) == 0:
+            raise InfeasibleRegionError(
+                f"no lower-edge root in (0, {_T_MAX}] at u = {u} for {shape}"
+            )
+        k = below[0]
+        lo, hi = grid[k], grid[k - 1]
     root = brentq(
         lambda t: float(_lower_gap(t, u, shape)),
-        grid[k],
-        grid[k - 1],
+        lo,
+        hi,
         xtol=1e-13,
         rtol=8.9e-16,
     )

@@ -236,11 +236,14 @@ def _null_excess(alpha, shape):
 def _noiseless_floor_cached(delta, epsilon):
     shape = ModelShape(delta=delta, epsilon=epsilon, sigma=0.0)
     # N(a) >= eps > 0 at a^2 = delta/eps, so the scan ends above the largest root
-    grid = np.linspace(0.0, max(60.0, math.sqrt(delta / epsilon)), 2401)
+    hi = max(60.0, math.sqrt(delta / epsilon))
+    if not math.isfinite(hi):  # delta/eps overflows
+        raise ConvergenceError(f"noiseless floor search failed: scan cap {hi} for {shape}")
+    grid = np.linspace(0.0, hi, 2401)
     vals = _null_excess(grid, shape)
-    if not (np.isfinite(grid[-1]) and vals[-1] > 0.0):  # delta/eps can overflow
+    if vals[-1] <= 0.0:
         raise ConvergenceError(
-            f"noiseless floor search failed: N({grid[-1]}) = {vals[-1]} for {shape}"
+            f"noiseless floor search failed: N({hi}) = {vals[-1]} <= 0 for {shape}"
         )
     neg = np.nonzero(vals < 0.0)[0]
     if len(neg) == 0:

@@ -105,12 +105,21 @@ def test_boundary_rejects_noise(tmp_path):
 
 
 def test_boundary_noiseless_floor_above_60(tmp_path):
-    # the noiseless alpha floor is about sqrt(delta/eps) = 63.2 here
+    # the noiseless alpha floor is about sqrt(delta/eps) = 63.2 here, and the
+    # lower-edge root at level u is sqrt(delta/(u eps) - 1)
+    out = tmp_path / "b.csv"
     res = run_cli(
-        ["boundary", "--delta", "4", "--epsilon", "0.001", "--n-points", "2"],
-        outdir=tmp_path,
+        ["boundary", "--delta", "4", "--epsilon", "0.001", "--n-points", "4", "--out", str(out)]
     )
     assert res.returncode == 0, res.stderr
+    _, _, rows = read_table(out)
+    us = np.array([float(r[0]) for r in rows])
+    assert us == pytest.approx([0.2, 0.4, 0.6, 0.8])
+    t_lower = np.array([float(r[1]) for r in rows])
+    assert t_lower == pytest.approx(np.sqrt(4.0 / (us * 1e-3) - 1.0), rel=1e-11)
+    assert all(63.2 < float(r[4]) < 64.3 for r in rows)  # t_nabla
+    # Phi(-t) underflows to 0 past t = 38.5, so both FDP edges are 0 here
+    assert all(float(r[2]) == 0.0 == float(r[5]) for r in rows)
 
 
 def test_boundary_infeasible_exit_code(tmp_path):

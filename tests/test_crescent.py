@@ -53,6 +53,12 @@ def test_q_delta_small_u_root_diverges():
     with pytest.raises(DivergingRootError):
         t_delta(1e-4, SHAPE)
     assert q_delta(1e-4, SHAPE) == 0.0
+    # past t = 60 the root is sqrt(delta/(u eps) - 1); the cap 3 sqrt(delta/eps)
+    # reaches it for u >= 1/9
+    shape = ModelShape(delta=4.0, epsilon=1e-3, sigma=0.0)
+    assert t_delta(0.2, shape) == pytest.approx(math.sqrt(19999.0), rel=1e-13)
+    with pytest.raises(DivergingRootError, match="exceeds t = 189.7"):
+        t_delta(0.1, shape)  # root 200
 
 
 def test_t_delta_validation():

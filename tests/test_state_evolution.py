@@ -130,7 +130,7 @@ def test_noiseless_alpha_floor():
     above = f + np.geomspace(1e-6, f, 30)
     assert np.all(0.999 * mse_null(above) + 1e-3 * (1.0 + above**2) > 4.0)
     # where delta/eps overflows the scan cannot end above the root
-    with pytest.raises(ConvergenceError), np.errstate(invalid="ignore"):
+    with pytest.raises(ConvergenceError):
         noiseless_alpha_floor(ModelShape(delta=4.0, epsilon=1e-310, sigma=0.0))
 
 
