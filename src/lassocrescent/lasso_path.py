@@ -4,27 +4,40 @@ Computes every breakpoint of lam -> argmin_b 0.5 ||y - X b||^2 + lam |b|_1
 from lam_max = ||X' y||_inf downward.  Between breakpoints the active
 coefficients move linearly along d = (X_A' X_A)^{-1} s_A (s_A the active
 signs); a breakpoint occurs when an inactive correlation reaches the penalty
-level (add) or an active coefficient crosses zero (drop).  The active Gram
-factor is maintained as a rank-one-updated Cholesky, so each step costs one
-O(np) correlation update plus O(|A|^2) triangular work.  The active signs,
-coefficients, Cholesky factor and columns live in buffers preallocated for
-max_active + 1 variables, each used through its first |A| slots; a drop
-shifts the slots after the dropped one down by one.
+level (add) or an active coefficient crosses zero (drop).
+
+Cost and memory: the correlations move along X' X_A d, read from the Gram
+columns X' x_v of the active variables (covariance updating, Friedman,
+Hastie & Tibshirani 2010).  When p <= n the whole Gram matrix X'X is formed
+once, one O(n p^2) product up front held in p^2 doubles, and its columns
+are permuted in place so that the active ones come first, in active order.
+When p > n a p x (max_active + 1) buffer takes the column X' x_j as
+variable j enters, one O(np) product per entry, so memory stays
+O(p min(n, p)).  After that each step reads O(p |A|) data.  The Cholesky
+factor L of X_A' X_A is stored packed, row by row in one flat buffer with
+row i at offset i(i+1)/2, so the factor of the first k active variables is
+always a contiguous prefix: an entry appends a row, and both triangular
+solves run on that prefix in place (BLAS tpsv), O(|A|^2) each.  The active
+signs, coefficients and Gram columns sit in slots, used through the first
+|A|; a drop moves the slots after the dropped one down by one.
 
 Tie handling: each variable has one level, the next penalty value at which
 it changes state.  An inactive variable's level is its entry level, the
 larger valid root at which its correlation meets the penalty level; one
 already at the current lam (an exact tie, as with +-1 designs) whose
 correlation the new direction pushes outward gets lam itself, and enters in a
-zero-length step: an event at the same lam as the one before.  An active
-variable's level is its drop level, where its coefficient reaches zero.  The
-next breakpoint is the highest level; within 1e-12 (relative) of it a drop
-goes first, then the lowest variable index.  A variable dropped at one event
-may re-enter at the next only with the opposite sign (the LARS-Lasso rule,
-Efron et al. 2004, section 3): its correlation meets the penalty level with
-the old sign exactly at the drop, and rounding could otherwise put that root
-just below it.  Coefficients within 1e-12 of zero are treated as zero in
-support computations.
+zero-length step: an event at the same lam as the one before.  A correlation
+that moves with the penalty level, nearing or leaving it at a rate below
+1e-9 per unit of lam, has no entry level: an exact copy of an active column
+does so, and rounding alone would decide where it enters and make the active
+Gram matrix singular.  An active variable's level is its drop level, where
+its coefficient reaches zero.  The next breakpoint is the highest level;
+within 1e-12 (relative) of it a drop goes first, then the lowest variable
+index.  A variable dropped at one event may re-enter at the next only with
+the opposite sign (the LARS-Lasso rule, Efron et al. 2004, section 3): its
+correlation meets the penalty level with the old sign exactly at the drop,
+and rounding could otherwise put that root just below it.  Coefficients
+within 1e-12 of zero are treated as zero in support computations.
 """
 
 import math
@@ -32,14 +45,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtpsv
 
 _TIE_REL = 1e-12
 _COEF_ZERO = 1e-12
 _REFRESH_EVERY = 64
-# a tied correlation leaving the penalty level slower than this (per unit
-# decrease of lam) stays out: along the whole path it drifts past the level
-# by less than 1e-9 * lam_max
+# a correlation nearing or leaving the penalty level slower than this (per
+# unit decrease of lam) stays out: along the whole path it drifts from the
+# level by less than 1e-9 * lam_max
 _TIE_RATE = 1e-9
 
 
@@ -89,38 +102,47 @@ def _givens(a, b):
     return a / r, b / r, r
 
 
-def _chol_append(L, k, gram_col, col_sq, variable):
-    """Extend the k x k lower factor in buffer L by one variable."""
+def _chol_append(P, k, gram_col, col_sq, variable):
+    """Append the variable's row to the packed k x k lower factor in P.
+
+    L packed row by row is L' packed column by column, the upper-triangular
+    layout tpsv reads: trans=1 solves with L, trans=0 with L'.  tpsv does
+    not check the length of P, so every caller keeps k(k+1)/2 <= P.size.
+    """
+    row = P[k * (k + 1) // 2 : (k + 1) * (k + 2) // 2]
     if k == 0:
         d2 = col_sq
     else:
-        w = solve_triangular(L[:k, :k], gram_col, lower=True, check_finite=False)
-        L[k, :k] = w
-        d2 = col_sq - float(w @ w)
+        row[:k] = dtpsv(k, P, gram_col, trans=1)
+        d2 = col_sq - float(row[:k] @ row[:k])
     if d2 <= 1e-12 * col_sq:
         raise DegenerateDesignError(
             f"active Gram matrix became singular when adding variable {variable} "
             f"at step {k + 1} (collinear with the active set)"
         )
-    L[k, k] = math.sqrt(d2)
+    row[k] = math.sqrt(d2)
 
 
-def _chol_delete(L, k, j):
-    """Remove row/column j from the k x k lower factor in buffer L."""
-    m = k - 1 - j
-    x = L[j + 1 : k, j].copy()
-    L[j : k - 1, :j] = L[j + 1 : k, :j].copy()
-    L[j : j + m, j : j + m] = L[j + 1 : k, j + 1 : k].copy()
-    blk = L[j : j + m, j : j + m]
-    for t in range(m):
-        c, s, r = _givens(blk[t, t], x[t])
-        blk[t, t] = r
-        if t + 1 < m:
-            tail = blk[t + 1 :, t].copy()
-            blk[t + 1 :, t] = c * tail + s * x[t + 1 :]
-            x[t + 1 :] = -s * tail + c * x[t + 1 :]
-    L[k - 1, : k] = 0.0
-    L[: k, k - 1] = 0.0
+def _chol_delete(P, k, j):
+    """Remove row/column j from the packed k x k lower factor in P."""
+    rows = np.arange(j + 1, k)
+    col_j = rows * (rows + 1) // 2 + j  # column j of the rows below j
+    x = P[col_j]
+    start, end = j * (j + 1) // 2, k * (k + 1) // 2
+    keep = np.ones(end - start, dtype=bool)
+    keep[: j + 1] = False  # row j
+    keep[col_j - start] = False
+    P[start : end - k] = P[start:end][keep]
+    # each row r below j moved up to r - 1, where column j + t sits at
+    # at_j + t; Givens rotations fold x back into that trailing block
+    at_j = rows * (rows - 1) // 2 + j
+    for t in range(k - 1 - j):
+        c, s, r = _givens(P[at_j[t] + t], x[t])
+        P[at_j[t] + t] = r
+        below = at_j[t + 1 :] + t
+        tail = P[below]
+        P[below] = c * tail + s * x[t + 1 :]
+        x[t + 1 :] = -s * tail + c * x[t + 1 :]
 
 
 def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support=None):
@@ -160,7 +182,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     )
 
     y_norm = float(np.linalg.norm(y))
-    c = X.T @ y
+    xty = c = X.T @ y
     lam = float(np.max(np.abs(c)))
     if lambda_floor is None:
         lambda_floor = 1e-10 * lam
@@ -177,8 +199,14 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         )
 
     m = max_active + 1
-    L = np.zeros((m, m))
-    XA = np.empty((n, m), order="F")  # active columns, in order
+    P = np.empty(m * (m + 1) // 2)  # packed Cholesky factor, see _chol_append
+    # slot i of G holds X' x_v for the i-th active variable v
+    gram = p <= n
+    if gram:
+        G = (X.T @ X).T  # one BLAS-3 product; F-ordered, so slots are columns
+        order = np.arange(p)  # the variable whose column sits in each slot
+    else:
+        G = np.empty((p, m), order="F")
     active = ()  # each event shares this tuple and its int objects
     sgn = np.zeros(m)
     beta = np.zeros(m)
@@ -193,15 +221,21 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     while True:
         if kind == "drop":
             pos = active.index(j)
-            _chol_delete(L, k, pos)
+            _chol_delete(P, k, pos)
             dropped = (j, sgn[pos])
             active = active[:pos] + active[pos + 1 :]
-            for buf in (sgn, beta, XA.T):  # rows of XA.T are active columns
-                buf[pos : k - 1] = buf[pos + 1 : k]
+            # the dropped slot moves to k - 1, where the full Gram keeps it
+            for buf in (sgn, beta, G.T) + ((order,) if gram else ()):
+                buf[pos:k] = np.roll(buf[pos:k], -1, axis=0)
             k -= 1
         else:
-            _chol_append(L, k, XA[:, :k].T @ X[:, j], col_sq[j], j)
-            XA[:, k] = X[:, j]
+            if gram:  # swap j's column into slot k
+                s = k + int(np.flatnonzero(order[k:] == j)[0])
+                G[:, [k, s]] = G[:, [s, k]]
+                order[[k, s]] = order[[s, k]]
+            else:
+                G[:, k] = X.T @ X[:, j]
+            _chol_append(P, k, G[j, :k], col_sq[j], j)
             active += (j,)
             sgn[k] = 1.0 if c[j] > 0 else -1.0
             beta[k] = 0.0
@@ -209,8 +243,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             dropped = None
 
         # direction for the new active set; stored on the event and reused
-        w = solve_triangular(L[:k, :k], sgn[:k], lower=True, check_finite=False)
-        d = solve_triangular(L[:k, :k].T, w, lower=False, check_finite=False)
+        d = dtpsv(k, P, dtpsv(k, P, sgn[:k], trans=1), overwrite_x=1)
         events.append(
             PathEvent(
                 lam=lam,
@@ -233,15 +266,15 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         b = beta[:k]
         b[np.abs(b) < _COEF_ZERO] = 0.0
         if len(events) % _REFRESH_EVERY == 0:
-            c = X.T @ (y - XA[:, :k] @ b)
+            c = xty - G[:, :k] @ b
 
         # next breakpoint: the highest of one level per variable (see "Tie
         # handling" above)
-        a = X.T @ (XA[:, :k] @ d)
+        a = G[:, :k] @ d
         lo = lam - tie(lam)
         with np.errstate(divide="ignore", invalid="ignore"):
-            plus = (c - lam * a) / (1.0 - a)
-            minus = (lam * a - c) / (1.0 + a)
+            plus = np.where(a < 1.0 - _TIE_RATE, (c - lam * a) / (1.0 - a), np.nan)
+            minus = np.where(a > _TIE_RATE - 1.0, (lam * a - c) / (1.0 + a), np.nan)
             drop_at = lam + b / d
         if dropped is not None:  # no same-sign re-entry right after a drop
             jd, sd = dropped
@@ -250,8 +283,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             np.where((plus > 0.0) & (plus < lo), plus, -np.inf),
             np.where((minus > 0.0) & (minus < lo), minus, -np.inf),
         )
-        at_lam = ((plus >= lo) & (a < 1.0 - _TIE_RATE)) | ((minus >= lo) & (a > _TIE_RATE - 1.0))
-        level[at_lam] = lam
+        level[(plus >= lo) | (minus >= lo)] = lam
         level[list(active)] = np.where(
             (drop_at > 0.0) & (drop_at < lo) & (np.abs(d) >= 1e-300), drop_at, -np.inf
         )

@@ -1,5 +1,7 @@
 """Homotopy path solver: KKT certificates, oracle cross-checks, bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -230,6 +232,20 @@ def test_duplicate_columns_still_solve():
         coef = coefficients_at(path, ev.lam)
         assert _kkt_violation(X, y, coef, ev.lam) < 1e-8
         assert not {0, 5} <= set(ev.active_set)
+    # a copy's correlation moves with its original's, at the same rate as the
+    # penalty level once the original is active; rounding alone must not let
+    # it enter (the active Gram matrix would turn singular), on either side
+    # of p <= n and with +-1 entries
+    for args in [
+        (12, 10, "gaussian", "duplicate", "noisy", 2),
+        (10, 12, "sign", "duplicate", "noisy", 1),
+        (10, 12, "sign", "scaled", "noisy", 11),
+    ]:
+        X, y = _stress_instance(*args)
+        path = lasso_path(X, y)
+        limit = 1e-8 * max(1.0, path.lambda_max)
+        for ev in path.events:
+            assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
 
 
 def test_tied_variables_enter_in_zero_length_steps():
@@ -352,6 +368,9 @@ def _stress_instance(n, p, entries, columns, response, seed):
 @example(n=12, p=5, entries="gaussian", columns="sum", response="noisy", seed=2)
 @example(n=8, p=8, entries="sign", columns="scaled", response="zero", seed=3)
 @example(n=9, p=1, entries="gaussian", columns="independent", response="noisy", seed=4)
+# drop-heavy: 8 drops in 27 events with p <= n, 5 in 19 with p > n
+@example(n=12, p=12, entries="gaussian", columns="sum", response="noisy", seed=18)
+@example(n=10, p=12, entries="gaussian", columns="independent", response="noisy", seed=122)
 def test_path_kkt_and_cd_agreement_under_stress(n, p, entries, columns, response, seed):
     # either a clean DegenerateDesignError or a path that is a Lasso solution
     # at every event and matches coordinate descent inside its range
@@ -372,3 +391,21 @@ def test_path_kkt_and_cd_agreement_under_stress(n, p, entries, columns, response
     # the fit is unique even where duplicate columns make beta not unique
     assert np.max(np.abs(X @ (beta - beta_cd))) < 1e-6 * max(1.0, np.linalg.norm(y))
     assert np.abs(beta).sum() == pytest.approx(np.abs(beta_cd).sum(), rel=1e-6, abs=1e-9)
+
+
+def test_wide_design_memory_stays_linear_in_p():
+    # with p > n the Gram columns are formed as variables enter, so the path
+    # needs O(p (n + max_active)) memory, not the 128 MB of X'X at p = 4000
+    rng = np.random.default_rng(53)
+    n, p = 50, 4000
+    X = rng.normal(size=(n, p)) / np.sqrt(n)
+    y = X[:, :10] @ rng.normal(scale=3.0, size=10) + 0.1 * rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        path = lasso_path(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    max_active = n - 1
+    assert max(len(ev.active_set) for ev in path.events) == max_active
+    assert peak < 4 * (n * p + p * (max_active + 1)) * 8
