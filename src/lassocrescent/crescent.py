@@ -54,9 +54,9 @@ _EQ_TOL = 1e-9
 class CrescentPoint:
     """One u-slice of the crescent: both edge parameters and FDP values.
 
-    ``t_delta`` is +inf (with q_delta = 0) where the lower-edge root exceeds
-    the scan cap; all finite parameters satisfy their defining equations to
-    within 1e-9.
+    ``t_delta`` is +inf (with q_delta = 0) only where delta / (u eps)
+    overflows, so the lower-edge root is not a finite double; all finite
+    parameters satisfy their defining equations to within 1e-9.
     """
 
     u: float
@@ -82,9 +82,9 @@ def t_delta(u, shape):
     """Lower-edge threshold: largest root of the heterogeneous-limit balance.
 
     Scans downward from t = 60 in steps of 0.05 for a sign change, then
-    bisects.  A root above 60 is bisected on [60, max(60, 3 sqrt(delta/eps))].
-    Raises ``DivergingRootError`` when the root lies above that scan cap (u
-    small enough that the edge has already hit zero FDP) and
+    bisects.  A root above 60 has the closed form sqrt(delta/(u eps) - 1).
+    Raises ``DivergingRootError`` when delta/(u eps) overflows (u small
+    enough that the root is not a finite double) and
     ``InfeasibleRegionError`` when no root exists above the admissible
     threshold range (u beyond the phase-transition cut).
     """
@@ -94,14 +94,13 @@ def t_delta(u, shape):
     vals = _lower_gap(grid, u, shape)
     if vals[0] < 0.0:
         # past t = 60, Phi(-t) and mse_null(t) are 0 in double, so G(t) =
-        # u eps (1 + t^2) - delta rises with t; its root sqrt(delta/(u eps) - 1)
-        # lies below the cap for every u >= 1/9
-        cap = max(_T_MAX, 3.0 * math.sqrt(shape.delta / shape.epsilon))
-        if not (math.isfinite(cap * cap) and _lower_gap(cap, u, shape) > 0.0):
+        # u eps (1 + t^2) - delta, whose root is above 60 exactly when G(60) < 0
+        ratio = shape.delta / (u * shape.epsilon)
+        if not math.isfinite(ratio):
             raise DivergingRootError(
-                f"lower-edge root exceeds t = {cap} at u = {u} for {shape}"
+                f"lower-edge root sqrt(delta/(u eps) - 1) overflows at u = {u} for {shape}"
             )
-        lo, hi = _T_MAX, cap
+        root = math.sqrt(ratio - 1.0)
     else:
         below = np.nonzero(vals < 0.0)[0]
         if len(below) == 0:
@@ -109,28 +108,27 @@ def t_delta(u, shape):
                 f"no lower-edge root in (0, {_T_MAX}] at u = {u} for {shape}"
             )
         k = below[0]
-        lo, hi = grid[k], grid[k - 1]
-    root = brentq(
-        lambda t: float(_lower_gap(t, u, shape)),
-        lo,
-        hi,
-        xtol=1e-13,
-        rtol=8.9e-16,
-    )
+        root = brentq(
+            lambda t: float(_lower_gap(t, u, shape)),
+            grid[k],
+            grid[k - 1],
+            xtol=1e-13,
+            rtol=8.9e-16,
+        )
     if root < alpha_min(shape) - 1e-9:
         raise InfeasibleRegionError(
             f"lower-edge root {root:.6f} falls below alpha_min at u = {u} "
             f"(beyond the phase-transition range for {shape})"
         )
     # residual of N(t)/D(t) (1 - 2 Phi(-t)) = 1 - u, which is G(t)/D(t)
-    resid = float(_lower_gap(root, u, shape)) / (shape.epsilon * (1.0 + root**2 - mse_null(root)))
-    if abs(resid) > _EQ_TOL:
+    resid = float(_lower_gap(root, u, shape)) / (shape.epsilon * (1.0 + root * root - mse_null(root)))
+    if not abs(resid) <= _EQ_TOL:
         raise ConvergenceError(f"lower-edge residual {resid:.2e} at u = {u}")
     return root
 
 
 def _t_delta_or_inf(u, shape):
-    # past the scan cap the root diverges: t = inf gives FDP 0 and tail mass 0
+    # a root that overflows diverges: t = inf gives FDP 0 and tail mass 0
     try:
         return t_delta(u, shape)
     except DivergingRootError:

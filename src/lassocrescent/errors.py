@@ -10,8 +10,8 @@ well-posed input can still fail:
 * ``ConvergenceError`` -- the equations should have a solution but an
   iterative solver failed to locate it to tolerance; carries diagnostic
   context and always indicates a bug or a truly pathological instance.
-* ``DivergingRootError`` -- a root exists but lies above the finite scan cap
-  (the boundary value is then an analytic limit); callers usually catch this
+* ``DivergingRootError`` -- a root exists but is not a finite double (the
+  boundary value is then an analytic limit); callers usually catch this
   and substitute the limit.
 """
 

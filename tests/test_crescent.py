@@ -48,17 +48,19 @@ def test_q_delta_frozen_and_form():
 
 
 def test_q_delta_small_u_root_diverges():
-    # far enough down the edge the threshold exceeds any finite scan cap;
-    # the FDP is exactly zero there
-    with pytest.raises(DivergingRootError):
-        t_delta(1e-4, SHAPE)
+    # far down the edge the threshold runs past the t = 60 scan, where the
+    # root is sqrt(delta/(u eps) - 1) and the FDP is exactly zero
+    assert t_delta(1e-4, SHAPE) == pytest.approx(math.sqrt(49999.0), rel=1e-11)  # 223.6
     assert q_delta(1e-4, SHAPE) == 0.0
-    # past t = 60 the root is sqrt(delta/(u eps) - 1); the cap 3 sqrt(delta/eps)
-    # reaches it for u >= 1/9
     shape = ModelShape(delta=4.0, epsilon=1e-3, sigma=0.0)
     assert t_delta(0.2, shape) == pytest.approx(math.sqrt(19999.0), rel=1e-13)
-    with pytest.raises(DivergingRootError, match="exceeds t = 189.7"):
-        t_delta(0.1, shape)  # root 200
+    assert t_delta(0.1, shape) == pytest.approx(math.sqrt(39999.0), rel=1e-11)  # 200
+    assert q_delta(0.1, shape) == 0.0
+    # only a root that is not a finite double diverges
+    shape = ModelShape(delta=1.0, epsilon=1e-300, sigma=0.0)
+    with pytest.raises(DivergingRootError, match="overflows"):
+        t_delta(1e-10, shape)
+    assert q_delta(1e-10, shape) == 0.0
 
 
 def test_t_delta_validation():
@@ -174,11 +176,11 @@ def test_crescent_grid():
 
 def test_crescent_diverging_lower_edge():
     # at a large delta and small eps the lower-edge root at u = 0.1 lies past
-    # the scan cap: the point carries t_delta = inf and the q_delta limit 0
+    # the t = 60 scan: the point carries that root and the q_delta limit 0
     shape = ModelShape(delta=4.0, epsilon=0.01, sigma=0.0)
     pt = crescent(shape, n_points=9)[0]
     assert pt.u == pytest.approx(0.1)
-    assert pt.t_delta == math.inf
+    assert pt.t_delta == pytest.approx(math.sqrt(3999.0), rel=1e-11)  # 63.24
     assert pt.q_delta == 0.0 == q_delta(0.1, shape)
     assert math.isfinite(pt.t_nabla)
 
@@ -238,8 +240,9 @@ def test_touching_points_two_masses_frozen():
 
 
 def test_touching_points_tiny_suffix_masses():
-    # suffix masses of ~0.002 push t_delta past its scan cap; the final
-    # residual check must use the same zero-tail limit as the iteration
+    # suffix masses of ~0.002 push t_delta past t = 60, where its tail is 0;
+    # the final residual check must use the same zero-tail limit as the
+    # iteration
     gamma = [0.5736725315817366, 0.31013495884975584, 0.11183897626176695,
              0.0024298878750228813, 0.0019236454317179007]
     pts = touching_points(gamma, ModelShape(1.8868386382108695, 0.19707059313819575))
