@@ -145,6 +145,18 @@ def _chol_delete(P, k, j):
         x[t + 1 :] = -s * tail + c * x[t + 1 :]
 
 
+def _slot_to_end(buf, pos, k):
+    """Move slot pos of buf to k - 1 and slots pos + 1 .. k - 1 down by one.
+
+    One slot at a time: numpy copies an overlapping block to a temporary
+    first, which for the Gram columns would be (k - pos) x p doubles.
+    """
+    moved = buf[pos].copy()
+    for i in range(pos, k - 1):
+        buf[i] = buf[i + 1]
+    buf[k - 1] = moved
+
+
 def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support=None):
     """Compute the full breakpoint list of the Lasso path for (X, y).
 
@@ -226,7 +238,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             active = active[:pos] + active[pos + 1 :]
             # the dropped slot moves to k - 1, where the full Gram keeps it
             for buf in (sgn, beta, G.T) + ((order,) if gram else ()):
-                buf[pos:k] = np.roll(buf[pos:k], -1, axis=0)
+                _slot_to_end(buf, pos, k)
             k -= 1
         else:
             if gram:  # swap j's column into slot k
