@@ -33,7 +33,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
 
 from .lasso_path import first_false_rank, lasso_path, tpp_fdp_along_path
 from .state_evolution import DiscretePrior
@@ -206,18 +205,33 @@ def load_design_file(path):
 
 
 def sample_design(spec, rng):
-    """Draw a design matrix according to ``spec`` using generator ``rng``."""
+    """Draw a design matrix according to ``spec`` using generator ``rng``.
+
+    ``correlated_gaussian`` is ``z @ U`` for ``z = rng.standard_normal((n, p))``
+    and U the covariance's upper Cholesky factor, formed in O(np) by column
+    recursions on that z: the factor-and-multiply draw up to rounding."""
     if spec.kind == "iid_gaussian":
         return rng.normal(0.0, math.sqrt(spec.scale), size=(spec.n, spec.p))
     if spec.kind == "bernoulli_pm":
         return (2.0 * rng.integers(0, 2, size=(spec.n, spec.p)) - 1.0) * math.sqrt(spec.scale)
     if spec.kind == "correlated_gaussian":
-        if spec.structure == "toeplitz":
-            cov = spec.scale * toeplitz(spec.rho ** np.arange(spec.p))
-        else:
-            cov = spec.scale * ((1.0 - spec.rho) * np.eye(spec.p) + spec.rho)
-        upper = cholesky(cov, lower=False)
-        return rng.standard_normal((spec.n, spec.p)) @ upper
+        s, rho = math.sqrt(spec.scale), spec.rho
+        z = rng.standard_normal((spec.n, spec.p))
+        if spec.structure == "toeplitz":  # AR(1): x_j = rho x_{j-1} + s sqrt(1 - rho^2) z_j
+            z[:, 0] *= s
+            z[:, 1:] *= s * math.sqrt((1.0 - rho) * (1.0 + rho))
+            for j in range(1, spec.p):
+                z[:, j] += rho * z[:, j - 1]
+            return z
+        # equicorrelation: x_j = s (d_j z_j + sum_{i<j} c_i z_i), d_j and c_j in
+        # closed form (a running sum of c_i^2 drifts as rho nears 1)
+        q, j = 1.0 - rho, np.arange(spec.p)
+        prev = q + j * rho  # 1 + (j - 1) rho, exact at j = 0
+        d = np.sqrt(q * (1.0 + j * rho) / prev)
+        x = z * (s * d)
+        np.cumsum(z * (s * q * rho / (prev * d)), axis=1, out=z)
+        x[:, 1:] += z[:, :-1]
+        return x
     # genotype_file: real matrix, jittered to break exact duplicates, then
     # columns centered and rescaled to match the synthetic normalization
     mat = load_design_file(spec.path)

@@ -5,14 +5,16 @@ solvers: Gaussian moments of the soft threshold are computed by quadrature
 (piecewise Gauss-Legendre on a fixed rule, or scipy adaptive quad), the
 effective-noise calibration by damped fixed-point iteration, boundary
 thresholds by dense descending grid scans (largest-root semantics) plus
-Brent refinement, and Lasso solutions by coordinate descent with a
-duality-gap certificate.
+Brent refinement, Lasso solutions by coordinate descent with a
+duality-gap certificate, and correlated designs by factoring the full
+p x p covariance.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import cholesky, toeplitz
 from scipy.optimize import brentq
 from scipy.stats import norm
 
@@ -291,3 +293,14 @@ def cd_lasso(X, y, lam, beta0=None, tol=1e-12, max_sweeps=200000):
             if primal - dual <= tol * max(1.0, primal):
                 return beta
     raise RuntimeError("coordinate descent did not converge")
+
+
+def cholesky_design(spec, rng):
+    """A ``correlated_gaussian`` draw the direct way: the p x p covariance,
+    its upper Cholesky factor U, and ``rng.standard_normal((n, p)) @ U``."""
+    if spec.structure == "toeplitz":
+        cov = spec.scale * toeplitz(spec.rho ** np.arange(spec.p))
+    else:
+        cov = spec.scale * ((1.0 - spec.rho) * np.eye(spec.p) + spec.rho)
+    upper = cholesky(cov, lower=False)
+    return rng.standard_normal((spec.n, spec.p)) @ upper

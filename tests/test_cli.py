@@ -55,6 +55,18 @@ def read_table(path):
     return header, columns, rows
 
 
+def test_import_leaves_out_scipy_signal():
+    # every CLI call and every pool worker imports the package; scipy.signal
+    # alone would add ~0.9 s and ~47 MB to each of them (2-vCPU VM)
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, lassocrescent.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_boundary_table(tmp_path):
     out = tmp_path / "b.csv"
     res = run_cli(

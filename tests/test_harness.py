@@ -1,6 +1,7 @@
 """Experiment harness: samplers, RNG streams, grids, runners, JSON configs."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from lassocrescent import (
     tpp_fdp_along_path,
 )
 from lassocrescent.harness import _simulate_instance
+from oracles import cholesky_design
 
 
 # --- designs ------------------------------------------------------------------
@@ -70,6 +72,51 @@ def test_equicorrelation():
     corr = np.corrcoef(X, rowvar=False)
     off = corr[~np.eye(6, dtype=bool)]
     assert off.mean() == pytest.approx(0.4, abs=0.03)
+
+
+@pytest.mark.parametrize("structure", ["toeplitz", "equicorrelation"])
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.99])
+@pytest.mark.parametrize("n, p", [(30, 1), (20, 50), (80, 40)])
+def test_correlated_design_matches_cholesky_draw(structure, rho, n, p):
+    # the O(np) recursions see the same z as z @ U, so they agree to rounding,
+    # and exactly at rho = 0, where U is sqrt(scale) I
+    spec = DesignSpec(kind="correlated_gaussian", n=n, p=p, rho=rho, structure=structure)
+    X = sample_design(spec, np.random.default_rng(17))
+    ref = cholesky_design(spec, np.random.default_rng(17))
+    if rho == 0.0:
+        assert np.array_equal(X, ref)
+    else:
+        assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class _IdentityNormals:
+    """Stands in for a generator: its "normal draw" is the identity, so
+    sample_design returns the scaled upper factor U itself."""
+
+    def standard_normal(self, shape):
+        return np.eye(*shape)
+
+
+def test_equicorrelation_near_singular():
+    # at rho = 1 - 1e-12 the factor's tail entries are ~1e-6 next to c_0 ~ 1;
+    # a running sum of c_i^2 would drift there, the closed form must not
+    p, rho = 2000, 1.0 - 1e-12
+    spec = DesignSpec(
+        kind="correlated_gaussian", n=20, p=p, rho=rho, structure="equicorrelation"
+    )
+    assert np.all(np.isfinite(sample_design(spec, np.random.default_rng(5))))
+    unit = dataclasses.replace(spec, n=p, variance_scale=1.0)
+    upper = sample_design(unit, _IdentityNormals())
+    assert np.array_equal(np.triu(upper), upper)
+    # column j of U is (c_0, ..., c_{j-1}, d_j): unit norm, unit variances
+    assert np.max(np.abs(np.einsum("ij,ij->j", upper, upper) - 1.0)) <= 1e-12
+    # d_j^2 against the Cholesky recurrence in exact arithmetic: with
+    # c_j d_j = d_j^2 - (1 - rho), d_{j+1}^2 = d_j^2 - (d_j^2 - (1 - rho))^2 / d_j^2
+    q, dd, exact = 1 - Fraction(rho), Fraction(1), []
+    for _ in range(p):
+        exact.append(float(dd))
+        dd -= (dd - q) ** 2 / dd
+    assert np.allclose(np.diag(upper) ** 2, exact, rtol=1e-12, atol=0.0)
 
 
 def test_design_validation():

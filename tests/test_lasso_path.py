@@ -372,13 +372,16 @@ def _stress_instance(n, p, entries, columns, response, seed):
 @example(n=12, p=12, entries="gaussian", columns="sum", response="noisy", seed=18)
 @example(n=10, p=12, entries="gaussian", columns="independent", response="noisy", seed=122)
 def test_path_kkt_and_cd_agreement_under_stress(n, p, entries, columns, response, seed):
-    # either a clean DegenerateDesignError or a path that is a Lasso solution
-    # at every event and matches coordinate descent inside its range
+    # a path that is a Lasso solution at every event and matches coordinate
+    # descent inside its range; only an exactly collinear triple (the "sum"
+    # family) may instead raise a clean DegenerateDesignError
     X, y = _stress_instance(n, p, entries, columns, response, seed)
     try:
         path = lasso_path(X, y)
     except DegenerateDesignError:
-        return
+        if columns == "sum":
+            return
+        raise
     limit = 1e-8 * max(1.0, path.lambda_max)
     for ev in path.events:
         assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
