@@ -25,10 +25,10 @@ from .errors import ConvergenceError, InfeasibleRegionError
 from .harness import (
     config_from_json,
     config_to_json,
+    fields_from_json,
     prior_from_json,
     run_rank_experiment,
     run_tradeoff_experiment,
-    _json_fields,
     _simulate_instance,
 )
 from .lasso_path import lasso_path, tpp_fdp_along_path
@@ -100,14 +100,15 @@ def _load_config_arg(args):
     return obj
 
 
+def _with_flags(args, obj, keys):
+    """The --config object ``obj`` (or {}) with the inline flags ``keys`` laid over it."""
+    flags = {key: getattr(args, key, None) for key in keys}  # path has no --replicates
+    return {**(obj or {}), **{key: v for key, v in flags.items() if v is not None}}
+
+
 def _shape_from(args, obj):
-    delta = args.delta if args.delta is not None else (obj or {}).get("delta")
-    epsilon = args.epsilon if args.epsilon is not None else (obj or {}).get("epsilon")
-    sigma = args.sigma if args.sigma is not None else (obj or {}).get("sigma", 0.0)
-    if delta is None or epsilon is None:
-        raise ValueError("delta and epsilon are required (flags or --config)")
-    with _json_fields("shape"):
-        return ModelShape(delta=float(delta), epsilon=float(epsilon), sigma=float(sigma))
+    obj = _with_flags(args, obj, ("delta", "epsilon", "sigma"))
+    return ModelShape(**fields_from_json(ModelShape, obj, "shape (flags or --config)"))
 
 
 def _cmd_boundary(args):
@@ -142,9 +143,10 @@ def _cmd_boundary(args):
 
 
 def _cmd_curve(args):
-    obj = _load_config_arg(args)
+    obj = dict(_load_config_arg(args) or {})
+    config_prior = obj.pop("prior", None)  # the rest of the config is the shape
     shape = _shape_from(args, obj)
-    spec = json.loads(args.prior) if args.prior else (obj or {}).get("prior")
+    spec = json.loads(args.prior) if args.prior else config_prior
     if not isinstance(spec, dict):
         raise ValueError("curve needs a prior object (--prior JSON or 'prior' in --config)")
     if "epsilon" not in spec and args.epsilon is not None:
@@ -172,12 +174,8 @@ def _config_from(args, mode):
     obj = _load_config_arg(args)
     if obj is None:
         raise ValueError(f"{mode} needs --config (JSON file or inline JSON)")
-    obj = dict(obj)
-    obj.setdefault("mode", mode)
-    for key in ("seed", "replicates", "sigma"):
-        if getattr(args, key, None) is not None:  # path has no --replicates
-            obj[key] = getattr(args, key)
-    return config_from_json(obj)
+    obj = _with_flags(args, obj, ("seed", "replicates", "sigma"))
+    return config_from_json({"mode": mode, **obj})
 
 
 def _cmd_path(args):

@@ -28,9 +28,10 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +42,16 @@ _DESIGN_KINDS = ("iid_gaussian", "correlated_gaussian", "bernoulli_pm", "genotyp
 _COEF_KINDS = ("prior_sample", "fixed_levels", "geometric", "linear", "equal")
 _K_KINDS = ("geometric", "linear", "equal")  # the kinds whose support size is k
 _MAGNITUDE_CAP = 1e300
+# A field's JSON metadata: "json_default", its value when a JSON config leaves it
+# out, and "json_write", whether config_to_json writes it (see there)
+_JSON_ALWAYS = {"json_write": lambda spec: True}
+
+
+def _integral(x):
+    """Whether ``x`` is an integer or an integral float; a boolean is neither."""
+    return not isinstance(x, bool) and (
+        isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer()
+    )
 
 
 @dataclass(frozen=True)
@@ -50,10 +61,10 @@ class DesignSpec:
     for a different normalization."""
 
     kind: str
-    n: int
-    p: int
-    rho: float = 0.0
-    structure: str = "toeplitz"  # or "equicorrelation"
+    n: int = field(metadata={"json_default": 0})  # a genotype file brings its own n, p
+    p: int = field(metadata={"json_default": 0})
+    rho: float = field(default=0.0, metadata=_JSON_ALWAYS)
+    structure: str = field(default="toeplitz", metadata=_JSON_ALWAYS)  # or "equicorrelation"
     path: str = ""  # for kind = "genotype_file"
     variance_scale: float = None
 
@@ -67,8 +78,10 @@ class DesignSpec:
                 raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
             if self.structure not in ("toeplitz", "equicorrelation"):
                 raise ValueError(f"unknown correlation structure {self.structure!r}")
-        if self.kind == "genotype_file" and not self.path:
-            raise ValueError("genotype_file design needs a file path")
+        elif self.rho != 0:  # the draw would ignore it, yet the header would echo it
+            raise ValueError(f"rho applies only to correlated_gaussian, got rho={self.rho!r}")
+        if self.kind == "genotype_file" and not (isinstance(self.path, str) and self.path):
+            raise ValueError(f"genotype_file design needs a file path, got {self.path!r}")
         if self.variance_scale is not None and not self.variance_scale > 0:
             raise ValueError(f"variance_scale must be positive, got {self.variance_scale}")
 
@@ -91,8 +104,8 @@ class CoefficientSpec:
     kind: str
     p: int
     prior: DiscretePrior = None
-    values: tuple = ()
-    counts: tuple = ()
+    values: tuple[float, ...] = ()
+    counts: tuple[int, ...] = ()
     magnitude: float = 0.0
     k: int = 0
 
@@ -101,6 +114,9 @@ class CoefficientSpec:
             raise ValueError(f"unknown coefficient kind {self.kind!r}, expected {_COEF_KINDS}")
         if self.p < 1:
             raise ValueError("p must be positive")
+        for v in (self.magnitude, *self.values):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ValueError(f"magnitude and values must be finite numbers, got {v!r}")
         if self.kind == "prior_sample":
             if self.prior is None:
                 raise ValueError("prior_sample needs a DiscretePrior")
@@ -132,11 +148,13 @@ class CoefficientSpec:
 class ExperimentConfig:
     design: DesignSpec
     coefficients: CoefficientSpec
-    sigma: float
-    replicates: int
-    seed: int
-    mode: str  # "tradeoff" | "rank"
-    tpp_grid: tuple = ()
+    sigma: float = field(metadata={"json_default": 0.0})
+    replicates: int = field(metadata={"json_default": 1})
+    seed: int = field(metadata={"json_default": 0})
+    mode: str = field(metadata={"json_default": "tradeoff"})  # "tradeoff" | "rank"
+    tpp_grid: tuple[float, ...] = field(
+        default=(), metadata={"json_write": lambda config: config.mode == "tradeoff"}
+    )
     sweep_param: str = ""  # "" | "k" | "rho"
     sweep_values: tuple = ()
 
@@ -147,6 +165,8 @@ class ExperimentConfig:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         # a genotype file fixes p only when it is loaded
         if self.design.kind != "genotype_file" and self.coefficients.p != self.design.p:
             raise ValueError(
@@ -169,6 +189,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"a k sweep needs coefficients of kind {_K_KINDS}, got {self.coefficients.kind!r}"
             )
+        if self.sweep_param == "k" and not all(_integral(v) for v in self.sweep_values):
+            raise ValueError(f"a k sweep takes integers, got {self.sweep_values}")
         if self.sweep_param == "rho" and self.design.kind != "correlated_gaussian":
             raise ValueError(
                 f"a rho sweep needs a correlated_gaussian design, got {self.design.kind!r}"
@@ -463,23 +485,12 @@ def run_rank_experiment(config, jobs=1):
 # --- JSON config (used by the command line tool) ---------------------------
 
 
-@contextlib.contextmanager
-def _json_fields(name):
-    """Report a missing or mistyped field of the JSON object ``name`` as ValueError."""
-    try:
-        yield
-    except KeyError as missing:
-        raise ValueError(f"{name} is missing field {missing}") from None
-    except (AttributeError, TypeError) as exc:
-        raise ValueError(f"{name} has a field of the wrong type: {exc}") from None
-
-
 def prior_from_json(obj):
     """DiscretePrior from {"kind": "homogeneous"|"heterogeneous"|"levels", ...}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("prior must be an object with a 'kind' field")
     kind = obj["kind"]
-    with _json_fields("prior spec"):
+    try:
         if kind == "homogeneous":
             return DiscretePrior.homogeneous(obj["epsilon"], obj["magnitude"])
         if kind == "heterogeneous":
@@ -488,98 +499,100 @@ def prior_from_json(obj):
             return DiscretePrior.from_levels(
                 obj["epsilon"], obj["values"], obj.get("weights")
             )
+    except KeyError as missing:
+        raise ValueError(f"prior spec is missing field {missing}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"prior spec has a field of the wrong type: {exc}") from None
     raise ValueError(f"unknown prior kind {kind!r}")
 
 
+def _strict_int(x):
+    """``int(x)`` for an integral number; anything else is an error, never truncated."""
+    if not _integral(x):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
+# Coercion of a given JSON value by its field's annotation
+_COERCE = {
+    int: _strict_int,
+    float: float,
+    tuple: tuple,  # sweep values keep their JSON number type
+    tuple[float, ...]: lambda items: tuple(map(float, items)),
+    tuple[int, ...]: lambda items: tuple(map(_strict_int, items)),
+    DiscretePrior: prior_from_json,
+}
+
+
+def fields_from_json(cls, obj, name, **defaults):
+    """Keyword arguments for the dataclass ``cls`` read from the JSON object ``obj``.
+
+    The fields of ``cls`` are the JSON schema.  A given value is coerced by its
+    field's annotation through ``_COERCE`` (other types pass as given); a
+    missing one takes its entry in ``defaults``, else its "json_default"
+    metadata, else its dataclass default.  ``name`` labels errors.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(obj).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {unknown}")
+    kwargs = {}
+    for f in fields:
+        if f.name not in obj:
+            kwargs[f.name] = defaults.get(f.name, f.metadata.get("json_default", f.default))
+            if kwargs[f.name] is dataclasses.MISSING:
+                raise ValueError(f"{name} is missing field {f.name!r}")
+            continue
+        coerce = _COERCE.get(f.type)
+        try:
+            kwargs[f.name] = coerce(obj[f.name]) if coerce else obj[f.name]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}.{f.name}: {exc}") from None
+    return kwargs
+
+
 def config_from_json(obj):
-    """ExperimentConfig from a parsed JSON object (field-checked)."""
+    """ExperimentConfig from a parsed JSON object or its text; ``coefficients.p``
+    defaults to ``design.p``."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    with _json_fields("config"):
-        d = dict(obj["design"])
-        c = dict(obj["coefficients"])
-        design = DesignSpec(
-            kind=d.pop("kind", None),
-            n=int(d.pop("n", 0)),
-            p=int(d.pop("p", 0)),
-            rho=float(d.pop("rho", 0.0)),
-            structure=d.pop("structure", "toeplitz"),
-            path=d.pop("path", ""),
-            variance_scale=d.pop("variance_scale", None),
-        )
-        if d:
-            raise ValueError(f"unknown design fields: {sorted(d)}")
-        prior = c.pop("prior", None)
-        coefficients = CoefficientSpec(
-            kind=c.pop("kind", None),
-            p=int(c.pop("p", design.p)),
-            prior=prior_from_json(prior) if prior is not None else None,
-            values=tuple(c.pop("values", ())),
-            counts=tuple(int(x) for x in c.pop("counts", ())),
-            magnitude=float(c.pop("magnitude", 0.0)),
-            k=int(c.pop("k", 0)),
-        )
-        if c:
-            raise ValueError(f"unknown coefficient fields: {sorted(c)}")
-        # a file missing here is left to fail in every replicate
-        if design.kind == "genotype_file" and os.path.isfile(design.path):
-            n_cols = load_design_file(design.path).shape[1]
-            if coefficients.p != n_cols:
-                raise ValueError(
-                    f"coefficients.p = {coefficients.p} disagrees with the {n_cols} columns "
-                    f"of {design.path}"
-                )
-        return ExperimentConfig(
-            design=design,
-            coefficients=coefficients,
-            sigma=float(obj.get("sigma", 0.0)),
-            replicates=int(obj.get("replicates", 1)),
-            seed=int(obj.get("seed", 0)),
-            mode=obj.get("mode", "tradeoff"),
-            tpp_grid=tuple(obj.get("tpp_grid", ())),
-            sweep_param=obj.get("sweep_param", ""),
-            sweep_values=tuple(obj.get("sweep_values", ())),
-        )
+    kwargs = fields_from_json(ExperimentConfig, obj, "config")
+    design = DesignSpec(**fields_from_json(DesignSpec, kwargs["design"], "design"))
+    coefficients = CoefficientSpec(
+        **fields_from_json(CoefficientSpec, kwargs["coefficients"], "coefficients", p=design.p)
+    )
+    # a file missing here is left to fail in every replicate
+    if design.kind == "genotype_file" and os.path.isfile(design.path):
+        n_cols = load_design_file(design.path).shape[1]
+        if coefficients.p != n_cols:
+            raise ValueError(
+                f"coefficients.p = {coefficients.p} disagrees with the {n_cols} columns "
+                f"of {design.path}"
+            )
+    return ExperimentConfig(**{**kwargs, "design": design, "coefficients": coefficients})
 
 
 def config_to_json(config):
-    """Inverse of ``config_from_json`` (dataclasses -> plain dict)."""
-
-    def prior_obj(prior):
-        if prior is None:
-            return None
-        return {
-            "kind": "levels",
-            "epsilon": prior.epsilon,
-            "values": [v for v, _ in prior.atoms],
-            "weights": [p for _, p in prior.atoms],
-        }
-
-    design = {k: v for k, v in dataclasses.asdict(config.design).items() if v not in (None, "")}
-    coefficients = {
-        "kind": config.coefficients.kind,
-        "p": config.coefficients.p,
-    }
-    if config.coefficients.prior is not None:
-        coefficients["prior"] = prior_obj(config.coefficients.prior)
-    if config.coefficients.values:
-        coefficients["values"] = list(config.coefficients.values)
-        coefficients["counts"] = list(config.coefficients.counts)
-    if config.coefficients.magnitude:
-        coefficients["magnitude"] = config.coefficients.magnitude
-    if config.coefficients.k:
-        coefficients["k"] = config.coefficients.k
-    out = {
-        "design": design,
-        "coefficients": coefficients,
-        "sigma": config.sigma,
-        "replicates": config.replicates,
-        "seed": config.seed,
-        "mode": config.mode,
-    }
-    if config.mode == "tradeoff":
-        out["tpp_grid"] = list(config.tpp_grid)
-    if config.sweep_param:
-        out["sweep_param"] = config.sweep_param
-        out["sweep_values"] = list(config.sweep_values)
+    """Inverse of ``config_from_json``: the JSON object of ``config``, or of any
+    other dataclass ``fields_from_json`` reads.  A field is written when its
+    "json_write" metadata holds for ``config``, else when it differs from its
+    dataclass default."""
+    out = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        write = f.metadata.get("json_write")
+        if not (write(config) if write else value != f.default):
+            continue
+        if isinstance(value, DiscretePrior):
+            value = {
+                "kind": "levels",
+                "epsilon": value.epsilon,
+                "values": [v for v, _ in value.atoms],
+                "weights": [p for _, p in value.atoms],
+            }
+        elif dataclasses.is_dataclass(value):
+            value = config_to_json(value)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
     return out

@@ -355,6 +355,8 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
     # JSON of the wrong shape is invalid input too: exit 2 with an error line,
     # not an exception out of main
     sim, rank = TINY_SIM_CONFIG, TINY_RANK_CONFIG
+    coef, levels = sim["coefficients"], {"kind": "fixed_levels", "values": [5.0], "counts": [1]}
+    nan, inf = float("nan"), float("inf")
     (tmp_path / "list.json").write_text("[1, 2]")
     monkeypatch.setenv("LASSOCRESCENT_OUTDIR", str(tmp_path))
     for argv in (
@@ -364,12 +366,25 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
         ["simulate", "--config", str(tmp_path / "list.json")],
         ["boundary", "--config", "[1]"],
         ["boundary", "--config", '{"delta": [1], "epsilon": 0.2}'],
+        ["boundary", "--config", '{"delta": 1, "epsilon": 0.2, "simga": 0}'],
         ["curve", "--delta", "1", "--epsilon", "0.2", "--prior", "[1]"],
         ["curve", "--delta", "1", "--prior", '{"kind": "homogeneous", "epsilon": "a"}'],
         ["simulate", "--config", json.dumps({**sim, "tpp_grid": 5})],
         ["simulate", "--config", json.dumps({**sim, "sigma": None})],
         ["rank", "--config", json.dumps({**rank, "sweep_values": 3})],
         ["simulate", "--config", json.dumps({**sim, "sweep_param": "k", "sweep_values": [2]})],
+        # values no replicate can use, caught before any replicate runs or truncates them
+        ["simulate", "--config", json.dumps({**sim, "coefficients": {**coef, "magnitude": nan}})],
+        ["simulate", "--config", json.dumps({**sim, "coefficients": {**coef, "magnitude": inf}})],
+        ["simulate", "--config", json.dumps({**sim, "coefficients": {**levels, "values": ["a"]}})],
+        ["simulate", "--config", json.dumps({**sim, "coefficients": {**levels, "values": [inf]}})],
+        ["simulate", "--config", json.dumps({**sim, "coefficients": {**levels, "counts": [1.5]}})],
+        ["simulate", "--config", json.dumps({**sim, "seed": -1})],
+        ["simulate", "--config", json.dumps({**sim, "coefficients": {**coef, "k": 2.7}})],
+        ["simulate", "--config", json.dumps({**sim, "replicates": True})],
+        ["simulate", "--config", json.dumps({**sim, "design": {**sim["design"], "n": 40.5}})],
+        ["rank", "--config", json.dumps({**rank, "sweep_values": [2.5, 3]})],
+        ["simulate", "--config", json.dumps({**sim, "design": {**sim["design"], "rho": 0.5}})],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
@@ -384,6 +399,9 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
     res_cols = run_cli(["simulate", "--config", json.dumps(config)], outdir=tmp_path)
     assert res_cols.returncode == 2
     assert "7 columns" in res_cols.stderr
+    config["design"]["path"] = [str(fpath)]
+    assert main(["simulate", "--config", json.dumps(config)]) == 2
+    assert "needs a file path" in capsys.readouterr().err
 
 
 def test_missing_config_file_names_path(tmp_path, monkeypatch, capsys):

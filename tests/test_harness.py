@@ -1,7 +1,9 @@
 """Experiment harness: samplers, RNG streams, grids, runners, JSON configs."""
 
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,9 @@ def test_design_validation():
         DesignSpec(kind="genotype_file", n=10, p=10)
     with pytest.raises(ValueError):
         DesignSpec(kind="iid_gaussian", n=10, p=10, variance_scale=0.0)
+    for kind in ("iid_gaussian", "bernoulli_pm"):  # rho would be echoed, never drawn
+        with pytest.raises(ValueError, match="rho"):
+            DesignSpec(kind=kind, n=10, p=10, rho=0.5)
 
 
 def test_genotype_file_design(tmp_path):
@@ -213,6 +218,12 @@ def test_coefficient_validation():
         CoefficientSpec(kind="fixed_levels", p=5, values=(1.0, 2.0), counts=(3, 3))
     with pytest.raises(ValueError):
         CoefficientSpec(kind="prior_sample", p=5)
+    for magnitude in (float("nan"), float("inf"), "2"):
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientSpec(kind="equal", p=5, k=2, magnitude=magnitude)
+    for value in (float("nan"), -float("inf"), "a"):
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientSpec(kind="fixed_levels", p=5, values=(1.0, value), counts=(1, 1))
 
 
 # --- RNG streams ----------------------------------------------------------------
@@ -356,6 +367,9 @@ def test_sweeps_need_a_parameter_the_draw_uses():
     linear = CoefficientSpec(kind="linear", p=30, k=2)
     with pytest.raises(ValueError, match="rho sweep"):
         ExperimentConfig(coefficients=linear, sweep_param="rho", sweep_values=(0.1, 0.5), **base)
+    # a fractional k would run at its truncation under its own label
+    with pytest.raises(ValueError, match="k sweep takes integers"):
+        ExperimentConfig(coefficients=linear, sweep_param="k", sweep_values=(2.5, 3), **base)
 
 
 def test_run_rank_experiment_sweep_k():
@@ -496,6 +510,16 @@ def test_config_json_round_trip_exact():
     )
     assert config_from_json(config_to_json(fixed)) == fixed
 
+    # JSON -> config -> JSON on the config echoed in each simulation golden's
+    # header, compared as text so that an int and a float differ
+    golden = Path(__file__).with_name("golden")
+    paths = [*golden.glob("path*.csv"), golden / "simulate.csv", *golden.glob("rank_*.csv")]
+    assert len(paths) == 6
+    for path in paths:
+        header = json.loads(path.read_text().splitlines()[1].removeprefix("# config: "))
+        echoed = config_to_json(config_from_json(header["config"]))
+        assert json.dumps(echoed, sort_keys=True) == json.dumps(header["config"], sort_keys=True)
+
 
 def test_config_from_json_string_and_defaults():
     config = config_from_json(
@@ -533,6 +557,15 @@ def test_config_from_json_error_reporting():
                 "tpp_grid": [0.5],
             }
         )
+    with pytest.raises(ValueError, match="replicate"):  # a typo is never ignored
+        config_from_json(
+            {
+                "design": {"kind": "iid_gaussian", "n": 5, "p": 5},
+                "coefficients": {"kind": "equal", "magnitude": 1.0, "k": 1},
+                "tpp_grid": [0.5],
+                "replicate": 20,
+            }
+        )
     with pytest.raises(ValueError, match="disagrees"):
         config_from_json(
             {
@@ -541,7 +574,7 @@ def test_config_from_json_error_reporting():
                 "tpp_grid": [0.5],
             }
         )
-    # a config built in Python is held to the same rule
+    # a config built in Python is held to the same rules
     with pytest.raises(ValueError, match="disagrees"):
         ExperimentConfig(
             design=DesignSpec(kind="iid_gaussian", n=5, p=5),
@@ -552,6 +585,9 @@ def test_config_from_json_error_reporting():
             mode="tradeoff",
             tpp_grid=(0.5,),
         )
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            _tiny_tradeoff_config(seed=seed)
 
 
 def test_prior_from_json_kinds_and_errors():
