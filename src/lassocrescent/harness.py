@@ -47,6 +47,21 @@ _MAGNITUDE_CAP = 1e300
 _JSON_ALWAYS = {"json_write": lambda spec: True}
 
 
+def _reject_unread(spec, kinds_reading):
+    """Raise ValueError for a field that ``spec.kind`` does not read yet that
+    holds other than its default: the draw would ignore it, while the output
+    header would echo it.  ``kinds_reading`` maps a field to the kinds that
+    read it."""
+    defaults = {f.name: f.default for f in dataclasses.fields(spec)}
+    for name, kinds in kinds_reading.items():
+        value = getattr(spec, name)
+        if spec.kind not in kinds and value != defaults[name]:
+            raise ValueError(
+                f"{name} applies only to kind {' or '.join(kinds)}, "
+                f"got {name}={value!r} on {spec.kind!r}"
+            )
+
+
 def _integral(x):
     """Whether ``x`` is an integer or an integral float; a boolean is neither."""
     return not isinstance(x, bool) and (
@@ -73,13 +88,15 @@ class DesignSpec:
             raise ValueError(f"unknown design kind {self.kind!r}, expected {_DESIGN_KINDS}")
         if self.kind != "genotype_file" and (self.n < 1 or self.p < 1):
             raise ValueError(f"need n, p >= 1, got n={self.n}, p={self.p}")
+        correlated = ("correlated_gaussian",)
+        _reject_unread(
+            self, {"rho": correlated, "structure": correlated, "path": ("genotype_file",)}
+        )
         if self.kind == "correlated_gaussian":
             if not 0.0 <= self.rho < 1.0:
                 raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
             if self.structure not in ("toeplitz", "equicorrelation"):
                 raise ValueError(f"unknown correlation structure {self.structure!r}")
-        elif self.rho != 0:  # the draw would ignore it, yet the header would echo it
-            raise ValueError(f"rho applies only to correlated_gaussian, got rho={self.rho!r}")
         if self.kind == "genotype_file" and not (isinstance(self.path, str) and self.path):
             raise ValueError(f"genotype_file design needs a file path, got {self.path!r}")
         if self.variance_scale is not None and not self.variance_scale > 0:
@@ -117,6 +134,16 @@ class CoefficientSpec:
         for v in (self.magnitude, *self.values):
             if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ValueError(f"magnitude and values must be finite numbers, got {v!r}")
+        _reject_unread(
+            self,
+            {
+                "prior": ("prior_sample",),
+                "values": ("fixed_levels",),
+                "counts": ("fixed_levels",),
+                "magnitude": ("geometric", "equal"),
+                "k": _K_KINDS,
+            },
+        )
         if self.kind == "prior_sample":
             if self.prior is None:
                 raise ValueError("prior_sample needs a DiscretePrior")
@@ -195,6 +222,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"a rho sweep needs a correlated_gaussian design, got {self.design.kind!r}"
             )
+        if self.sweep_param == "rho" and not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 <= v < 1.0
+            for v in self.sweep_values
+        ):
+            raise ValueError(f"a rho sweep takes numbers in [0, 1), got {self.sweep_values}")
 
 
 @dataclass(frozen=True)

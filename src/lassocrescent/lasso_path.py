@@ -8,18 +8,24 @@ level (add) or an active coefficient crosses zero (drop).
 
 Cost and memory: the correlations move along X' X_A d, read from the Gram
 columns X' x_v of the active variables (covariance updating, Friedman,
-Hastie & Tibshirani 2010).  When p <= n the whole Gram matrix X'X is formed
-once, one O(n p^2) product up front held in p^2 doubles, and its columns
-are permuted in place so that the active ones come first, in active order.
-When p > n a p x (max_active + 1) buffer takes the column X' x_j as
-variable j enters, one O(np) product per entry, so memory stays
-O(p min(n, p)).  After that each step reads O(p |A|) data.  The Cholesky
-factor L of X_A' X_A is stored packed, row by row in one flat buffer with
-row i at offset i(i+1)/2, so the factor of the first k active variables is
-always a contiguous prefix: an entry appends a row, and both triangular
-solves run on that prefix in place (BLAS tpsv), O(|A|^2) each.  The active
-signs, coefficients and Gram columns sit in slots, used through the first
-|A|; a drop moves the slots after the dropped one down by one.
+Hastie & Tibshirani 2010).  When p <= n the Gram columns are formed once up
+front, and permuted in place so that the active ones come first, in active
+order.  That is the whole Gram matrix X'X, one O(n p^2) product held in p^2
+doubles, unless a stop set S with 2|S| < p is given: a first-false path only
+ever activates variables of S (every add before the stop lies in S, and so
+does every drop), and the false entrant that stops it needs only its row of
+the active columns.  So it forms just the p x |S| columns X'X_S, one
+O(n p |S|) product, which costs fewer flops than X'X exactly when 2|S| < p.
+When p > n a p x (max_active + 1) buffer (at most |S| + 2 columns on a
+first-false path) takes the column X' x_j as variable j enters, one O(np)
+product per entry, so memory stays O(p min(n, p)).  After that each step
+reads O(p |A|) data.  The Cholesky factor L of X_A' X_A is stored packed,
+row by row in one flat buffer with row i at offset i(i+1)/2, so the factor
+of the first k active variables is always a contiguous prefix: an entry
+appends a row, and both triangular solves run on that prefix in place
+(BLAS tpsv), O(|A|^2) each.  The active signs, coefficients and Gram
+columns sit in slots, used through the first |A|; a drop moves the slots
+after the dropped one down by one.
 
 Tie handling: each variable has one level, the next penalty value at which
 it changes state.  An inactive variable's level is its entry level, the
@@ -41,6 +47,7 @@ within 1e-12 of zero are treated as zero in support computations.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -167,9 +174,12 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         level (default 1e-10 * lambda_max).
     max_active : stop once the active set reaches this size
         (default min(n - 1, p), at least 1).
-    stop_outside_support : optional set of variable indices; the path stops
-        immediately after the first add event outside it (stopping reason
-        "first_false"), which is all the first-false-rank statistic needs.
+    stop_outside_support : optional stop set S of variable indices, integers
+        in [0, p); the path stops immediately after the first add event
+        outside it (stopping reason "first_false"), which is all the
+        first-false-rank statistic needs.  When p <= n and 2|S| < p only the
+        Gram columns of S are formed (see "Cost and memory" above).  A stop
+        set of all p variables never stops the path, and is no stop set.
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -189,9 +199,17 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         max_active = max(1, min(n - 1, p))
     if not 0 < max_active <= min(n, p):
         raise ValueError(f"max_active must lie in [1, min(n, p)], got {max_active}")
-    allowed = None if stop_outside_support is None else frozenset(
-        int(v) for v in stop_outside_support
-    )
+    allowed = None
+    if stop_outside_support is not None:
+        support = list(stop_outside_support)
+        bad = [v for v in support if not (isinstance(v, numbers.Integral) and 0 <= v < p)]
+        if bad:
+            raise ValueError(
+                f"stop_outside_support must hold integers in [0, {p}), got {bad[0]!r}"
+            )
+        allowed = frozenset(map(int, support))
+        if len(allowed) == p:
+            allowed = None
 
     y_norm = float(np.linalg.norm(y))
     xty = c = X.T @ y
@@ -210,13 +228,20 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             stopping_reason="full_path" if lam == 0.0 else "lambda_floor",
         )
 
-    m = max_active + 1
+    # a first-false path holds at most |S| + 1 active variables
+    m = (max_active if allowed is None else min(max_active, len(allowed) + 1)) + 1
     P = np.empty(m * (m + 1) // 2)  # packed Cholesky factor, see _chol_append
     # slot i of G holds X' x_v for the i-th active variable v
     gram = p <= n
     if gram:
-        G = (X.T @ X).T  # one BLAS-3 product; F-ordered, so slots are columns
-        order = np.arange(p)  # the variable whose column sits in each slot
+        # one BLAS-3 product; F-ordered, so slots are columns.  order holds the
+        # variable whose column sits in each slot
+        if allowed is not None and 2 * len(allowed) < p:
+            order = np.array(sorted(allowed), dtype=np.intp)
+            G = (X[:, order].T @ X).T
+        else:
+            order = np.arange(p)
+            G = (X.T @ X).T
     else:
         G = np.empty((p, m), order="F")
     active = ()  # each event shares this tuple and its int objects
@@ -241,12 +266,14 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
                 _slot_to_end(buf, pos, k)
             k -= 1
         else:
-            if gram:  # swap j's column into slot k
+            if not gram:
+                G[:, k] = X.T @ X[:, j]
+            # swap j's column into slot k; a variable outside the stop set may
+            # have none in G, and the path stops at its entry
+            elif allowed is None or j in allowed:
                 s = k + int(np.flatnonzero(order[k:] == j)[0])
                 G[:, [k, s]] = G[:, [s, k]]
                 order[[k, s]] = order[[s, k]]
-            else:
-                G[:, k] = X.T @ X[:, j]
             _chol_append(P, k, G[j, :k], col_sq[j], j)
             active += (j,)
             sgn[k] = 1.0 if c[j] > 0 else -1.0
@@ -363,13 +390,12 @@ def tpp_fdp_along_path(path, true_support, k=None):
     true = frozenset(int(v) for v in true_support)
     if k is None:
         k = len(true)
-    out = []
+    out, tp = [], 0  # true variables in the active set
     for ev in path.events:
-        sel = ev.active_set
-        tp = sum(1 for v in sel if v in true)
-        tpp = tp / max(k, 1)
-        fdp = (len(sel) - tp) / max(len(sel), 1)
-        out.append((ev.lam, tpp, fdp))
+        if ev.variable in true:
+            tp += 1 if ev.kind == "add" else -1
+        sel = len(ev.active_set)
+        out.append((ev.lam, tp / max(k, 1), (sel - tp) / max(sel, 1)))
     return out
 
 

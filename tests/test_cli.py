@@ -357,6 +357,11 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
     sim, rank = TINY_SIM_CONFIG, TINY_RANK_CONFIG
     coef, levels = sim["coefficients"], {"kind": "fixed_levels", "values": [5.0], "counts": [1]}
     nan, inf = float("nan"), float("inf")
+    rho_sweep = {
+        **rank, "design": {**rank["design"], "kind": "correlated_gaussian"}, "sweep_param": "rho"
+    }
+    iid_equicorrelation = {**sim["design"], "structure": "equicorrelation"}
+    linear = rank["coefficients"]
     (tmp_path / "list.json").write_text("[1, 2]")
     monkeypatch.setenv("LASSOCRESCENT_OUTDIR", str(tmp_path))
     for argv in (
@@ -385,6 +390,17 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
         ["simulate", "--config", json.dumps({**sim, "design": {**sim["design"], "n": 40.5}})],
         ["rank", "--config", json.dumps({**rank, "sweep_values": [2.5, 3]})],
         ["simulate", "--config", json.dumps({**sim, "design": {**sim["design"], "rho": 0.5}})],
+        # a rho sweep takes numbers in [0, 1) only
+        *(
+            ["rank", "--config", json.dumps({**rho_sweep, "sweep_values": [value]})]
+            for value in (None, "a", 1.5)
+        ),
+        # fields the kind ignores, which the header would echo
+        ["simulate", "--config", json.dumps({**sim, "design": iid_equicorrelation})],
+        *(
+            ["rank", "--config", json.dumps({**rank, "coefficients": {**linear, name: value}})]
+            for name, value in (("magnitude", 2.0), ("values", [1.0]), ("counts", [1]))
+        ),
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv

@@ -134,9 +134,13 @@ def test_design_validation():
         DesignSpec(kind="genotype_file", n=10, p=10)
     with pytest.raises(ValueError):
         DesignSpec(kind="iid_gaussian", n=10, p=10, variance_scale=0.0)
-    for kind in ("iid_gaussian", "bernoulli_pm"):  # rho would be echoed, never drawn
-        with pytest.raises(ValueError, match="rho"):
-            DesignSpec(kind=kind, n=10, p=10, rho=0.5)
+    # a field the kind ignores would be echoed, never drawn
+    for kind in ("iid_gaussian", "bernoulli_pm"):
+        for name, value in (("rho", 0.5), ("structure", "equicorrelation"), ("path", "x.csv")):
+            with pytest.raises(ValueError, match=f"{name} applies only to"):
+                DesignSpec(kind=kind, n=10, p=10, **{name: value})
+    # at its default it passes, as every output header writes rho and structure
+    DesignSpec(kind="iid_gaussian", n=10, p=10, rho=0.0, structure="toeplitz")
 
 
 def test_genotype_file_design(tmp_path):
@@ -224,6 +228,20 @@ def test_coefficient_validation():
     for value in (float("nan"), -float("inf"), "a"):
         with pytest.raises(ValueError, match="finite"):
             CoefficientSpec(kind="fixed_levels", p=5, values=(1.0, value), counts=(1, 1))
+    # a field the kind ignores would be echoed, never drawn
+    prior = DiscretePrior.homogeneous(0.2, 1.0)
+    levels = dict(kind="fixed_levels", p=5, values=(1.0,), counts=(1,))
+    for kwargs, name in (
+        (dict(kind="linear", p=5, k=2, magnitude=3.0), "magnitude"),
+        (dict(kind="linear", p=5, k=2, values=(1.0,)), "values"),
+        (dict(kind="equal", p=5, k=2, magnitude=1.0, counts=(1,)), "counts"),
+        (dict(kind="geometric", p=5, k=2, magnitude=2.0, prior=prior), "prior"),
+        (dict(levels, magnitude=1.0), "magnitude"),
+        (dict(levels, k=1), "k"),
+        (dict(kind="prior_sample", p=5, prior=prior, k=1), "k"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} applies only to"):
+            CoefficientSpec(**kwargs)
 
 
 # --- RNG streams ----------------------------------------------------------------
@@ -370,6 +388,13 @@ def test_sweeps_need_a_parameter_the_draw_uses():
     # a fractional k would run at its truncation under its own label
     with pytest.raises(ValueError, match="k sweep takes integers"):
         ExperimentConfig(coefficients=linear, sweep_param="k", sweep_values=(2.5, 3), **base)
+    # a rho sweep value outside [0, 1) would fail in every replicate
+    correlated = {**base, "design": DesignSpec(kind="correlated_gaussian", n=30, p=30)}
+    for value in (None, "a", 1.0, -0.1, float("nan"), True):
+        with pytest.raises(ValueError, match="rho sweep takes numbers"):
+            ExperimentConfig(
+                coefficients=linear, sweep_param="rho", sweep_values=(0.5, value), **correlated
+            )
 
 
 def test_run_rank_experiment_sweep_k():

@@ -185,6 +185,25 @@ def test_tpp_fdp_along_path_toy():
     assert stats_k4[0][1] == 0.25
 
 
+def test_tpp_fdp_running_count_matches_a_scan_of_each_active_set():
+    # the path of tests/golden/path_drops.csv: 391 events, 96 of them drops
+    rng_x, rng_b, rng_z = replicate_rng(7, 0)
+    X = sample_design(DesignSpec(kind="iid_gaussian", n=200, p=200), rng_x)
+    beta, support = sample_coefficients(
+        CoefficientSpec(kind="equal", p=200, magnitude=1000.0, k=40), rng_b
+    )
+    path = lasso_path(X, X @ beta + 0.01 * rng_z.standard_normal(200))
+    assert sum(ev.kind == "drop" for ev in path.events) == 96
+    true = set(support.tolist())
+    for k in (None, 50):
+        expected = []
+        for ev in path.events:
+            tp = sum(v in true for v in ev.active_set)
+            sel = len(ev.active_set)
+            expected.append((ev.lam, tp / (k or len(true)), (sel - tp) / max(sel, 1)))
+        assert tpp_fdp_along_path(path, support, k=k) == expected
+
+
 def test_first_false_rank_toys():
     X = np.eye(3)
     y = np.array([3.0, 1.0, 2.0])
@@ -208,6 +227,67 @@ def test_stop_outside_support():
     assert path.events[-1].variable == 2
     res = first_false_rank(path, [0, 1])
     assert (res.rank, res.censored) == (2, False)
+    for bad in ([0, -1], [0, 3], [0.5]):
+        with pytest.raises(ValueError, match="stop_outside_support"):
+            lasso_path(X, y, stop_outside_support=bad)
+    # an empty stop set stops at the first entry; the full range never stops
+    empty = lasso_path(X, y, stop_outside_support=[])
+    assert (empty.stopping_reason, len(empty.events)) == ("first_false", 1)
+    unstopped = lasso_path(X, y)
+    every = lasso_path(X, y, stop_outside_support=range(3))
+    assert every.stopping_reason == unstopped.stopping_reason
+    assert [(ev.lam, ev.kind, ev.variable) for ev in every.events] == [
+        (ev.lam, ev.kind, ev.variable) for ev in unstopped.events
+    ]
+
+
+def _ladder_instance(n, rho, k, sigma, seed):
+    """Toeplitz design with the linear ladder beta_j = j on its first k coordinates."""
+    rng_x, rng_b, rng_z = replicate_rng(seed, 0)
+    X = sample_design(DesignSpec(kind="correlated_gaussian", n=n, p=n, rho=rho), rng_x)
+    beta, support = sample_coefficients(CoefficientSpec(kind="linear", p=n, k=k), rng_b)
+    return X, X @ beta + sigma * rng_z.standard_normal(n), support
+
+
+def test_first_false_path_is_a_prefix_of_the_full_path():
+    # with 2|S| < p the stopped path forms only the Gram columns of S; it must
+    # still follow the unstopped path (full X'X) event for event.  Seed 1 at
+    # rho = 0.9 drops twice and lets all of S enter before the false variable.
+    seen_all_of_s = seen_drop = False
+    for rho in (0.0, 0.6, 0.9):
+        for seed in (1, 2):
+            X, y, support = _ladder_instance(300, rho, 60, 0.2, seed)
+            stopped = lasso_path(X, y, stop_outside_support=support)
+            full = lasso_path(X, y)
+            assert stopped.stopping_reason == "first_false"
+            tol = 1e-12 * max(1.0, full.lambda_max)
+            for a, b in zip(stopped.events, full.events):
+                assert (a.kind, a.variable, a.active_set) == (b.kind, b.variable, b.active_set)
+                assert abs(a.lam - b.lam) <= tol
+            assert len(stopped.events) <= len(full.events)
+            last = stopped.events[-1]
+            assert last.variable not in set(support.tolist())
+            seen_all_of_s |= len(last.active_set) == len(support) + 1
+            seen_drop |= any(ev.kind == "drop" for ev in stopped.events)
+    assert seen_all_of_s and seen_drop
+
+
+def test_first_false_path_memory_stays_linear_in_p():
+    # X'X at n = p = 600 takes 2.9 MB; the columns X'X_S of a 30-variable stop
+    # set take 144 kB
+    rng = np.random.default_rng(59)
+    n = p = 600
+    X = rng.normal(size=(n, p)) / np.sqrt(n)
+    support = np.arange(30)
+    y = X[:, support] @ np.full(30, 5.0) + rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        path = lasso_path(X, y, stop_outside_support=support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stopping_reason == "first_false"
+    assert peak < p * p * 8 / 4
 
 
 def test_zero_column_rejected():
