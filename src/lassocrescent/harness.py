@@ -264,8 +264,10 @@ def sample_design(spec, rng):
     ``correlated_gaussian`` is ``z @ U`` for ``z = rng.standard_normal((n, p))``
     and U the covariance's upper Cholesky factor, formed in O(np) by column
     recursions on that z: the factor-and-multiply draw up to rounding."""
-    if spec.kind == "iid_gaussian":
-        return rng.normal(0.0, math.sqrt(spec.scale), size=(spec.n, spec.p))
+    if spec.kind == "iid_gaussian":  # rng.normal(0, s, size), scaled in place
+        x = rng.standard_normal((spec.n, spec.p))
+        x *= math.sqrt(spec.scale)
+        return x
     if spec.kind == "bernoulli_pm":
         return (2.0 * rng.integers(0, 2, size=(spec.n, spec.p)) - 1.0) * math.sqrt(spec.scale)
     if spec.kind == "correlated_gaussian":

@@ -19,13 +19,17 @@ O(n p |S|) product, which costs fewer flops than X'X exactly when 2|S| < p.
 When p > n a p x (max_active + 1) buffer (at most |S| + 2 columns on a
 first-false path) takes the column X' x_j as variable j enters, one O(np)
 product per entry, so memory stays O(p min(n, p)).  After that each step
-reads O(p |A|) data.  The Cholesky factor L of X_A' X_A is stored packed,
-row by row in one flat buffer with row i at offset i(i+1)/2, so the factor
-of the first k active variables is always a contiguous prefix: an entry
-appends a row, and both triangular solves run on that prefix in place
-(BLAS tpsv), O(|A|^2) each.  The active signs, coefficients and Gram
-columns sit in slots, used through the first |A|; a drop moves the slots
-after the dropped one down by one.
+reads O(p |A|) data, and finds every level in one pass over the stacked
+entry roots of both signs.  The Cholesky factor L of X_A' X_A is stored
+packed, row by row in one flat buffer with row i at offset i(i+1)/2, so the
+factor of the first k active variables is always a contiguous prefix: an
+entry appends a row, and the triangular solves run on that prefix in place
+(BLAS tpsv), O(|A|^2) each.  The direction is d = L'^-1 w with w = L^-1 s_A.
+w is carried across entries, which extend it by one dot product, and is
+solved afresh only after a drop, so an entry makes one solve for d and a
+drop two.  The active variables, signs, coefficients, w and Gram columns
+sit in slots, used through the first |A|; a drop moves the slots after the
+dropped one down by one.
 
 Tie handling: each variable has one level, the next penalty value at which
 it changes state.  An inactive variable's level is its entry level, the
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtpsv
+from scipy.linalg.blas import ddot, dtpsv
 
 _TIE_REL = 1e-12
 _COEF_ZERO = 1e-12
@@ -61,6 +65,8 @@ _REFRESH_EVERY = 64
 # unit decrease of lam) stays out: along the whole path it drifts from the
 # level by less than 1e-9 * lam_max
 _TIE_RATE = 1e-9
+# row 0 of the stacked entry roots belongs to sign +1, row 1 to sign -1
+_PM = np.array([[1.0], [-1.0]])
 
 
 class DegenerateDesignError(ValueError):
@@ -102,6 +108,40 @@ class RankResult(NamedTuple):
     censored: bool
 
 
+def _tie(level):
+    return _TIE_REL * max(1.0, level)
+
+
+def _levels(a, c, lam, dropped, slots, b, d):
+    """Level of every variable at penalty lam (see "Tie handling" above):
+    entry levels from the rates a = X' X_A d and correlations c, less the
+    sign ``dropped`` (variable, sign) at the last event, and drop levels of
+    the active ``slots`` from their coefficients b and direction d.
+
+    Row 1 of the roots over _PM * a is -(c - lam a) / (1 - (-a)), exactly
+    (lam a - c) / (1 + a), and its test -a < 1 - 1e-9 is a > 1e-9 - 1.  A
+    root r gives r on (0, lo), lam from lo up and -inf otherwise, a map that
+    does not decrease, so it is applied once, to the larger root.
+    """
+    lo = lam - _tie(lam)
+    sa = _PM * a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = _PM * (c - lam * a)
+        roots /= 1.0 - sa
+        drop_at = lam + b / d
+    np.putmask(roots, sa >= 1.0 - _TIE_RATE, -np.inf)
+    if dropped is not None:  # no same-sign re-entry right after a drop
+        jd, sd = dropped
+        roots[0 if sd > 0 else 1, jd] = -np.inf
+    level = np.fmax(roots[0], roots[1])
+    np.putmask(level, level >= lo, lam)
+    np.putmask(level, ~(level > 0.0), -np.inf)
+    level[slots] = np.where(
+        (drop_at > 0.0) & (drop_at < lo) & (np.abs(d) >= 1e-300), drop_at, -np.inf
+    )
+    return level
+
+
 def _givens(a, b):
     r = math.hypot(a, b)
     if r == 0.0:
@@ -110,7 +150,8 @@ def _givens(a, b):
 
 
 def _chol_append(P, k, gram_col, col_sq, variable):
-    """Append the variable's row to the packed k x k lower factor in P.
+    """Append the variable's row to the packed k x k lower factor in P, and
+    return that row.
 
     L packed row by row is L' packed column by column, the upper-triangular
     layout tpsv reads: trans=1 solves with L, trans=0 with L'.  tpsv does
@@ -128,6 +169,7 @@ def _chol_append(P, k, gram_col, col_sq, variable):
             f"at step {k + 1} (collinear with the active set)"
         )
     row[k] = math.sqrt(d2)
+    return row
 
 
 def _chol_delete(P, k, j):
@@ -171,9 +213,9 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     ----------
     X, y : design matrix (n x p, no zero columns) and response.
     lambda_floor : stop once the next breakpoint would fall at or below this
-        level (default 1e-10 * lambda_max).
-    max_active : stop once the active set reaches this size
-        (default min(n - 1, p), at least 1).
+        level, a number >= 0 or inf (default 1e-10 * lambda_max).
+    max_active : stop once the active set reaches this size, an integer
+        in [1, min(n, p)] (default min(n - 1, p), at least 1).
     stop_outside_support : optional stop set S of variable indices, integers
         in [0, p); the path stops immediately after the first add event
         outside it (stopping reason "first_false"), which is all the
@@ -188,15 +230,20 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     n, p = X.shape
     if y.shape[0] != n:
         raise ValueError(f"y has length {y.shape[0]}, expected {n}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("X and y must be finite")
     col_sq = np.einsum("ij,ij->j", X, X)
+    # a finite col_sq means a finite X, without an n x p temporary; a finite X
+    # can overflow col_sq, so only then is X checked, row by row
+    finite_x = np.all(np.isfinite(col_sq)) or all(np.isfinite(row).all() for row in X)
+    if not (finite_x and np.all(np.isfinite(y))):
+        raise ValueError("X and y must be finite")
     if np.any(col_sq == 0.0):
         raise DegenerateDesignError(
             f"column {int(np.argmin(col_sq))} of the design is identically zero"
         )
     if max_active is None:
         max_active = max(1, min(n - 1, p))
+    if isinstance(max_active, bool) or not isinstance(max_active, numbers.Integral):
+        raise ValueError(f"max_active must be an integer, got {max_active!r}")
     if not 0 < max_active <= min(n, p):
         raise ValueError(f"max_active must lie in [1, min(n, p)], got {max_active}")
     allowed = None
@@ -216,7 +263,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     lam = float(np.max(np.abs(c)))
     if lambda_floor is None:
         lambda_floor = 1e-10 * lam
-    if lambda_floor < 0:
+    if not lambda_floor >= 0:
         raise ValueError(f"lambda_floor must be nonnegative, got {lambda_floor}")
     if lam <= 0.0 or lam <= lambda_floor:
         return LassoPath(
@@ -231,11 +278,11 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     # a first-false path holds at most |S| + 1 active variables
     m = (max_active if allowed is None else min(max_active, len(allowed) + 1)) + 1
     P = np.empty(m * (m + 1) // 2)  # packed Cholesky factor, see _chol_append
-    # slot i of G holds X' x_v for the i-th active variable v
+    # slot i of G holds X' x_v for the variable v = order[i], the i-th active
+    # one for i < |A|
     gram = p <= n
     if gram:
-        # one BLAS-3 product; F-ordered, so slots are columns.  order holds the
-        # variable whose column sits in each slot
+        # one BLAS-3 product; F-ordered, so slots are columns
         if allowed is not None and 2 * len(allowed) < p:
             order = np.array(sorted(allowed), dtype=np.intp)
             G = (X[:, order].T @ X).T
@@ -243,18 +290,19 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             order = np.arange(p)
             G = (X.T @ X).T
     else:
+        order = np.empty(m, dtype=np.intp)
         G = np.empty((p, m), order="F")
     active = ()  # each event shares this tuple and its int objects
     sgn = np.zeros(m)
     beta = np.zeros(m)
+    w = np.zeros(m)  # L^-1 s_A, the first half of the direction's solve
     k = 0
     events = []
     dropped = None  # (variable, sign) removed at the previous event
-    tie = lambda level: _TIE_REL * max(1.0, level)
 
     # the first event adds the lowest-index variable at the top of the
     # correlation profile
-    kind, j = "add", int(np.flatnonzero(np.abs(c) >= lam - tie(lam)).min())
+    kind, j = "add", int(np.flatnonzero(np.abs(c) >= lam - _tie(lam)).min())
     while True:
         if kind == "drop":
             pos = active.index(j)
@@ -262,27 +310,32 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             dropped = (j, sgn[pos])
             active = active[:pos] + active[pos + 1 :]
             # the dropped slot moves to k - 1, where the full Gram keeps it
-            for buf in (sgn, beta, G.T) + ((order,) if gram else ()):
+            for buf in (sgn, beta, G.T, order):
                 _slot_to_end(buf, pos, k)
             k -= 1
+            w[:k] = dtpsv(k, P, sgn[:k], trans=1)
         else:
             if not gram:
                 G[:, k] = X.T @ X[:, j]
+                order[k] = j
             # swap j's column into slot k; a variable outside the stop set may
             # have none in G, and the path stops at its entry
             elif allowed is None or j in allowed:
                 s = k + int(np.flatnonzero(order[k:] == j)[0])
-                G[:, [k, s]] = G[:, [s, k]]
-                order[[k, s]] = order[[s, k]]
-            _chol_append(P, k, G[j, :k], col_sq[j], j)
+                G[:, k], G[:, s] = G[:, s], G[:, k].copy()
+                order[k], order[s] = order[s], order[k]
+            row = _chol_append(P, k, G[j, :k], col_sq[j], j)
             active += (j,)
             sgn[k] = 1.0 if c[j] > 0 else -1.0
             beta[k] = 0.0
+            # the new entry of w: the last step of tpsv's forward solve (a dot
+            # product, then a division), so w equals a full solve bit for bit
+            w[k] = (sgn[k] - (ddot(row[:k], w[:k]) if k else 0.0)) / row[k]
             k += 1
             dropped = None
 
         # direction for the new active set; stored on the event and reused
-        d = dtpsv(k, P, dtpsv(k, P, sgn[:k], trans=1), overwrite_x=1)
+        d = dtpsv(k, P, w[:k])
         events.append(
             PathEvent(
                 lam=lam,
@@ -307,31 +360,15 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         if len(events) % _REFRESH_EVERY == 0:
             c = xty - G[:, :k] @ b
 
-        # next breakpoint: the highest of one level per variable (see "Tie
-        # handling" above)
+        # next breakpoint: the highest of one level per variable
         a = G[:, :k] @ d
-        lo = lam - tie(lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plus = np.where(a < 1.0 - _TIE_RATE, (c - lam * a) / (1.0 - a), np.nan)
-            minus = np.where(a > _TIE_RATE - 1.0, (lam * a - c) / (1.0 + a), np.nan)
-            drop_at = lam + b / d
-        if dropped is not None:  # no same-sign re-entry right after a drop
-            jd, sd = dropped
-            (plus if sd > 0 else minus)[jd] = np.nan
-        level = np.maximum(
-            np.where((plus > 0.0) & (plus < lo), plus, -np.inf),
-            np.where((minus > 0.0) & (minus < lo), minus, -np.inf),
-        )
-        level[(plus >= lo) | (minus >= lo)] = lam
-        level[list(active)] = np.where(
-            (drop_at > 0.0) & (drop_at < lo) & (np.abs(d) >= 1e-300), drop_at, -np.inf
-        )
+        level = _levels(a, c, lam, dropped, order[:k], b, d)
         cand_lam = float(level.max())
         if cand_lam == -np.inf:
             stopping, lambda_min_valid = "full_path", 0.0
             break
         # within the tie window a drop goes first, then the lowest index
-        near = np.flatnonzero(level >= cand_lam - tie(cand_lam)).tolist()
+        near = np.flatnonzero(level >= cand_lam - _tie(cand_lam)).tolist()
         drops = [v for v in near if v in active]
         kind, j = ("drop", drops[0]) if drops else ("add", near[0])
         if cand_lam <= lambda_floor:

@@ -7,7 +7,8 @@ effective-noise calibration by damped fixed-point iteration, boundary
 thresholds by dense descending grid scans (largest-root semantics) plus
 Brent refinement, Lasso solutions by coordinate descent with a
 duality-gap certificate, and correlated designs by factoring the full
-p x p covariance.
+p x p covariance.  The path solver's level pass is checked against its
+earlier two-array form (one array per sign of the entry root).
 """
 
 import math
@@ -304,3 +305,26 @@ def cholesky_design(spec, rng):
         cov = spec.scale * ((1.0 - spec.rho) * np.eye(spec.p) + spec.rho)
     upper = cholesky(cov, lower=False)
     return rng.standard_normal((spec.n, spec.p)) @ upper
+
+
+def path_levels(a, c, lam, dropped, slots, b, d):
+    """Each variable's next level on the Lasso path, one array per sign of
+    the entry root: lasso_path's level pass before it stacked the signs.
+    Arguments as for ``lassocrescent.lasso_path._levels``."""
+    lo = lam - 1e-12 * max(1.0, lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plus = np.where(a < 1.0 - 1e-9, (c - lam * a) / (1.0 - a), np.nan)
+        minus = np.where(a > 1e-9 - 1.0, (lam * a - c) / (1.0 + a), np.nan)
+        drop_at = lam + b / d
+    if dropped is not None:
+        jd, sd = dropped
+        (plus if sd > 0 else minus)[jd] = np.nan
+    level = np.maximum(
+        np.where((plus > 0.0) & (plus < lo), plus, -np.inf),
+        np.where((minus > 0.0) & (minus < lo), minus, -np.inf),
+    )
+    level[(plus >= lo) | (minus >= lo)] = lam
+    level[list(slots)] = np.where(
+        (drop_at > 0.0) & (drop_at < lo) & (np.abs(d) >= 1e-300), drop_at, -np.inf
+    )
+    return level

@@ -48,6 +48,15 @@ def test_variance_scale_override():
     assert X.var() == pytest.approx(2.0, rel=0.08)
 
 
+@pytest.mark.parametrize("variance_scale", [None, 2.0])
+def test_iid_design_is_the_rng_normal_draw(variance_scale):
+    # standard normals scaled in place: the same stream, bit for bit
+    spec = DesignSpec(kind="iid_gaussian", n=300, p=70, variance_scale=variance_scale)
+    X = sample_design(spec, np.random.default_rng(3))
+    ref = np.random.default_rng(3).normal(0.0, np.sqrt(spec.scale), size=(300, 70))
+    assert X.dtype == ref.dtype and X.tobytes() == ref.tobytes()
+
+
 def test_bernoulli_design():
     spec = DesignSpec(kind="bernoulli_pm", n=100, p=30)
     X = sample_design(spec, np.random.default_rng(2))

@@ -22,7 +22,8 @@ from lassocrescent import (
     tpp_fdp_along_path,
 )
 
-from oracles import cd_lasso
+from lassocrescent.lasso_path import _levels
+from oracles import cd_lasso, path_levels
 
 
 def _random_instance(rng, n=20, p=10, k=3, sigma=0.5):
@@ -141,6 +142,12 @@ def test_max_active_stop():
         lasso_path(X, y, max_active=0)
     with pytest.raises(ValueError):
         lasso_path(X, y, max_active=X.shape[1] + 5)
+    # integers only: a float or a boolean is not a size
+    for bad in (2.5, 3.0, True, np.True_, "3"):
+        with pytest.raises(ValueError):
+            lasso_path(X, y, max_active=bad)
+    same = lasso_path(X, y, max_active=np.int64(3))
+    assert [ev.lam for ev in same.events] == [ev.lam for ev in path.events]
 
 
 def test_single_observation_default_max_active():
@@ -168,6 +175,12 @@ def test_lambda_floor_stop():
     # asking below the computed range is an error
     with pytest.raises(ValueError):
         coefficients_at(path, 1e-6 * floor)
+    for bad in (np.nan, -1.0, -np.inf):
+        with pytest.raises(ValueError):
+            lasso_path(X, y, lambda_floor=bad)
+    # an infinite floor lies above lambda_max: an empty path
+    path = lasso_path(X, y, lambda_floor=np.inf)
+    assert path.events == [] and path.stopping_reason == "lambda_floor"
 
 
 def test_tpp_fdp_along_path_toy():
@@ -288,6 +301,29 @@ def test_first_false_path_memory_stays_linear_in_p():
         tracemalloc.stop()
     assert path.stopping_reason == "first_false"
     assert peak < p * p * 8 / 4
+    # measured 307 kB: X[:, S] and X'X_S (144 kB each) and a few p-vectors;
+    # an n x p temporary (360 kB of booleans for the finiteness check) fails
+    assert peak < 2 * n * len(support) * 8 + 64 * p
+
+
+def test_finiteness_check():
+    rng = np.random.default_rng(61)
+    X, y = _random_instance(rng, n=30, p=3000)
+    for bad in (np.nan, np.inf, -np.inf):
+        Xb = X.copy()
+        Xb[29, 2999] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lasso_path(Xb, y)
+        yb = y.copy()
+        yb[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lasso_path(X, yb)
+    # finite entries whose squared column norm overflows pass the check; the
+    # factor then finds that column singular
+    Xb = X.copy()
+    Xb[:, 7] = 1e300
+    with np.errstate(over="ignore"), pytest.raises(DegenerateDesignError):
+        lasso_path(Xb, y)
 
 
 def test_zero_column_rejected():
@@ -356,6 +392,61 @@ def test_drop_before_add_in_one_tie_window():
     assert lams == pytest.approx([6.0, 40.0 / 11.0, 2.0, 2.0, 2.0], rel=1e-14)
     for ev in path.events:
         assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < 1e-12
+
+
+def _level_inputs(rng, p=300, k=30):
+    """Rates a, correlations c, penalty lam, and the active slots (indices
+    100 and up) with their coefficients b and direction d."""
+    lam = float(rng.choice([1e-3, 0.7, 1.0, 40.0]))
+    a = rng.uniform(-3.0, 3.0, p)
+    c = lam * rng.uniform(-1.0, 1.0, p)
+    slots = 100 + rng.choice(p - 100, size=k, replace=False)
+    return a, c, lam, slots, rng.normal(size=k), rng.normal(size=k)
+
+
+def test_level_pass_matches_the_two_array_form():
+    rng = np.random.default_rng(67)
+    for trial in range(40):
+        a, c, lam, slots, b, d = _level_inputs(rng)
+        dropped = (int(rng.integers(100)), 1.0 if trial % 4 else -1.0) if trial % 2 else None
+        args = (a, c, lam, dropped, slots, b, d)
+        assert _levels(*args).tobytes() == path_levels(*args).tobytes()
+
+    a, c, lam, slots, b, d = _level_inputs(rng)
+    lam = 1.0
+    lo = lam - 1e-12
+    # active rows: a = s exactly, c = lam s
+    s = np.where(rng.uniform(size=len(slots)) < 0.5, -1.0, 1.0)
+    a[slots], c[slots] = s, lam * s
+    # rates at and within 1e-9 of +-1
+    edge = 1.0 - 1e-9
+    near = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0), 1.0 - 2e-9,
+            1.0 - 5e-10, 1.0 + 1e-10, 1.0, np.nextafter(1.0, 0.0)]
+    a[:8], a[8:16] = near, np.negative(near)
+    c[:8], c[8:16] = (1.0 - 5e-10) * lam, (5e-10 - 1.0) * lam
+    # at a = 0 the root is c itself: exactly at lo, just below it, at lam, at 0
+    a[20:26] = 0.0
+    c[20:26] = [lo, np.nextafter(lo, 0.0), -lo, np.nextafter(-lo, 0.0), lam, 0.0]
+    # a variable whose correlation meets -lam (at 0.12 lam), for the
+    # dropped-sign rule
+    a[30], c[30] = 0.25, 0.1 * lam
+    # drop levels: exactly at lo, just below it, and zero directions
+    b[:6] = [lo - lam, np.nextafter(lo - lam, -1.0), 0.0, 1.0, -1.0, 1.0]
+    d[:6] = [1.0, 1.0, 0.0, 0.0, 0.0, 1e-301]
+    for dropped in (None, (30, 1.0), (30, -1.0), (20, 1.0), (22, -1.0)):
+        args = (a, c, lam, dropped, slots, b, d)
+        level = _levels(*args)
+        assert level.tobytes() == path_levels(*args).tobytes()
+        if dropped is None:
+            assert level[20] == level[22] == level[24] == lam
+            assert level[21] == level[23] == np.nextafter(lo, 0.0)
+            assert level[25] == -np.inf
+            assert level[slots[0]] == -np.inf and level[slots[1]] < lo
+            assert np.all(level[slots[2:6]] == -np.inf)
+    # variable 30 stays out right after a drop with sign -1, not with +1
+    assert _levels(a, c, lam, None, slots, b, d)[30] == pytest.approx(0.12 * lam)
+    assert _levels(a, c, lam, (30, 1.0), slots, b, d)[30] == pytest.approx(0.12 * lam)
+    assert _levels(a, c, lam, (30, -1.0), slots, b, d)[30] == -np.inf
 
 
 def test_deterministic():
