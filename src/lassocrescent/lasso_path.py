@@ -27,9 +27,12 @@ entry appends a row, and the triangular solves run on that prefix in place
 (BLAS tpsv), O(|A|^2) each.  The direction is d = L'^-1 w with w = L^-1 s_A.
 w is carried across entries, which extend it by one dot product, and is
 solved afresh only after a drop, so an entry makes one solve for d and a
-drop two.  The active variables, signs, coefficients, w and Gram columns
-sit in slots, used through the first |A|; a drop moves the slots after the
-dropped one down by one.
+drop two.  A drop deletes its row of L by a closed-form rank-one update of
+the m rows below it (see _chol_delete): O(m^2 + |A| m) work in a few
+whole-array passes per block of rows, through one dense block buffer of at
+most 16384 doubles.  The active variables, signs, coefficients, w and Gram
+columns sit in slots, used through the first |A|; a drop moves the slots
+after the dropped one down by one.
 
 Tie handling: each variable has one level, the next penalty value at which
 it changes state.  An inactive variable's level is its entry level, the
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import ddot, dtpsv
+from scipy.linalg.blas import ddot, dtpsv, dtrsv
 
 _TIE_REL = 1e-12
 _COEF_ZERO = 1e-12
@@ -67,6 +70,9 @@ _REFRESH_EVERY = 64
 _TIE_RATE = 1e-9
 # row 0 of the stacked entry roots belongs to sign +1, row 1 to sign -1
 _PM = np.array([[1.0], [-1.0]])
+# a drop updates the trailing Cholesky rows through a dense buffer of at most
+# this many doubles (128 kB)
+_DELETE_BLOCK = 1 << 14
 
 
 class DegenerateDesignError(ValueError):
@@ -142,13 +148,6 @@ def _levels(a, c, lam, dropped, slots, b, d):
     return level
 
 
-def _givens(a, b):
-    r = math.hypot(a, b)
-    if r == 0.0:
-        return 1.0, 0.0, 0.0
-    return a / r, b / r, r
-
-
 def _chol_append(P, k, gram_col, col_sq, variable):
     """Append the variable's row to the packed k x k lower factor in P, and
     return that row.
@@ -173,7 +172,26 @@ def _chol_append(P, k, gram_col, col_sq, variable):
 
 
 def _chol_delete(P, k, j):
-    """Remove row/column j from the packed k x k lower factor in P."""
+    """Remove row/column j from the packed k x k lower factor in P.
+
+    Rows above j stay as they are.  Each row below j moves up one and loses
+    column j; its leading columns 0 .. j-1 stay as they are too.  With x the
+    removed column below the diagonal and T the m x m trailing block (the
+    rows below j, columns j+1 ..), the new trailing block U must satisfy
+    U U' = T T' + x x', a positive rank-one update, which has a closed form
+    (Gill, Golub, Murray & Saunders 1974, Math. Comp. 28): U = T M, with M
+    the lower factor of I + p p' for p = T^-1 x.  With t_0 = 1 and
+    t_{c+1} = t_c + p_c^2, M has the diagonal d_c = sqrt(t_{c+1} / t_c) and
+    the entries p_i g_c below it, g_c = p_c / sqrt(t_c t_{c+1}).  So
+    U[r, c] = d_c T[r, c] + g_c sum_{c < i <= r} T[r, i] p_i, a reverse
+    cumulative sum along row r, and U's diagonal d_c T[c, c] is positive by
+    construction.  The rows of T are read a block at a time into one dense
+    buffer of at most _DELETE_BLOCK doubles; each block first extends p by
+    forward substitution (p_c needs only rows up to c), then is updated in
+    whole-array passes, so a drop costs O(m^2 + k m), with no Python loop
+    per row.
+    """
+    m = k - 1 - j  # rows below j
     rows = np.arange(j + 1, k)
     col_j = rows * (rows + 1) // 2 + j  # column j of the rows below j
     x = P[col_j]
@@ -182,16 +200,32 @@ def _chol_delete(P, k, j):
     keep[: j + 1] = False  # row j
     keep[col_j - start] = False
     P[start : end - k] = P[start:end][keep]
-    # each row r below j moved up to r - 1, where column j + t sits at
-    # at_j + t; Givens rotations fold x back into that trailing block
-    at_j = rows * (rows - 1) // 2 + j
-    for t in range(k - 1 - j):
-        c, s, r = _givens(P[at_j[t] + t], x[t])
-        P[at_j[t] + t] = r
-        below = at_j[t + 1 :] + t
-        tail = P[below]
-        P[below] = c * tail + s * x[t + 1 :]
-        x[t + 1 :] = -s * tail + c * x[t + 1 :]
+    if m == 0:
+        return
+    p, d, g = np.empty(m), np.empty(m), np.empty(m)
+    t = np.empty(m + 1)
+    t[0] = 1.0
+    new_rows = np.arange(j, k - 1)
+    base = new_rows * (new_rows + 1) // 2 + j  # where row r of T starts
+    step = max(1, _DELETE_BLOCK // m)
+    for r0 in range(0, m, step):
+        r1 = min(m, r0 + step)
+        # rows r0 .. r1 - 1 of T, columns 0 .. r1 - 1; past its diagonal a
+        # row reads the rows below it, which the mask zeroes
+        at = base[r0:r1, None] + np.arange(r1)
+        lower = np.tri(r1 - r0, r1, r0, dtype=bool)
+        T = np.where(lower, P[at], 0.0)
+        # the next block of p by forward substitution
+        p[r0:r1] = dtrsv(T[:, r0:], x[r0:r1] - T[:, :r0] @ p[:r0], lower=1)
+        t[r0 + 1 : r1 + 1] = p[r0:r1] ** 2
+        np.cumsum(t[r0 : r1 + 1], out=t[r0 : r1 + 1])
+        d[r0:r1] = np.sqrt(t[r0 + 1 : r1 + 1] / t[r0:r1])
+        g[r0:r1] = p[r0:r1] / np.sqrt(t[r0:r1] * t[r0 + 1 : r1 + 1])
+        # inclusive suffix sums of T[r, i] p_i, read one column to the right
+        s = (T * p[:r1])[:, ::-1].cumsum(axis=1)[:, ::-1]
+        T *= d[:r1]
+        T[:, :-1] += g[: r1 - 1] * s[:, 1:]
+        P[at[lower]] = T[lower]
 
 
 def _slot_to_end(buf, pos, k):

@@ -3,17 +3,19 @@
 
 The simulation files were written by the command line tool before the harness
 runner was refactored, the ``boundary``/``curve`` files before the theory
-half's bracket walks were merged, ``path_drops.csv`` before the path
-solver's active set moved into preallocated buffers, and ``path_pm.csv`` before
-its breakpoint search was merged into one, so they pin the numbers across
-refactors.
+half's bracket walks were merged, and ``path_pm.csv`` before the path solver's
+breakpoint search was merged into one, so they pin the numbers across
+refactors.  ``path_drops.csv`` was re-captured when a drop's Cholesky update
+changed from Givens rotations to a closed-form rank-one update, which moved
+its lambda column at rounding level (no event changed).
 Every file a run writes next to its CSV (such as ``.touching.csv``) is
 compared too.  ``golden/gnuplot/`` pins, for one case of each command, the
 ``--gnuplot`` script and the paths the run prints; those runs write into their
 working directory through a relative ``--out``, so the script names no
 machine-specific directory.  To rewrite them after a deliberate change of the
-numbers, run ``python tests/test_golden.py`` (with the package importable) and
-state the change.
+numbers, run ``python tests/test_golden.py [NAME ...]`` (with the package
+importable) and state the change: it rewrites the named cases, such as
+``path_drops.csv``, and with no name every case.
 """
 
 import json
@@ -164,14 +166,18 @@ def test_gnuplot_script_and_stdout_match_golden(tmp_path, name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case(s) {', '.join(unknown)}; known: {', '.join(CASES)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, (_, counts) in CASES.items():
-        outs = [run_case(name, jobs, GOLDEN_DIR) for jobs in counts]
+    for name in names:
+        outs = [run_case(name, jobs, GOLDEN_DIR) for jobs in CASES[name][1]]
         if any(out != outs[0] for out in outs):
             sys.exit(f"{name}: output depends on the worker count")
         print(*(GOLDEN_DIR / f for f in outs[0]), sep="\n")
     os.makedirs(GNUPLOT_DIR, exist_ok=True)
-    for name in GNUPLOT_CASES:
+    for name in (n for n in GNUPLOT_CASES if n in names):
         with tempfile.TemporaryDirectory() as scratch:
             for f, body in run_gnuplot_case(name, scratch).items():
                 (GNUPLOT_DIR / f).write_bytes(body)
