@@ -29,8 +29,8 @@ w is carried across entries, which extend it by one dot product, and is
 solved afresh only after a drop, so an entry makes one solve for d and a
 drop two.  A drop deletes its row of L by a closed-form rank-one update of
 the m rows below it (see _chol_delete): O(m^2 + |A| m) work in a few
-whole-array passes per block of rows, through one dense block buffer of at
-most 16384 doubles.  The active variables, signs, coefficients, w and Gram
+whole-array passes per block of rows, through dense block arrays of at most
+16384 doubles each.  The active variables, signs, coefficients, w and Gram
 columns sit in slots, used through the first |A|; a drop moves the slots
 after the dropped one down by one.
 
@@ -70,8 +70,8 @@ _REFRESH_EVERY = 64
 _TIE_RATE = 1e-9
 # row 0 of the stacked entry roots belongs to sign +1, row 1 to sign -1
 _PM = np.array([[1.0], [-1.0]])
-# a drop updates the trailing Cholesky rows through a dense buffer of at most
-# this many doubles (128 kB)
+# a drop updates the trailing Cholesky rows a block at a time, through dense
+# arrays of at most this many doubles (128 kB) each
 _DELETE_BLOCK = 1 << 14
 
 
@@ -185,13 +185,15 @@ def _chol_delete(P, k, j):
     the entries p_i g_c below it, g_c = p_c / sqrt(t_c t_{c+1}).  So
     U[r, c] = d_c T[r, c] + g_c sum_{c < i <= r} T[r, i] p_i, a reverse
     cumulative sum along row r, and U's diagonal d_c T[c, c] is positive by
-    construction.  The rows of T are read a block at a time into one dense
-    buffer of at most _DELETE_BLOCK doubles; each block first extends p by
+    construction.  The rows of T are read a block at a time into a dense
+    array of at most _DELETE_BLOCK doubles; each block first extends p by
     forward substitution (p_c needs only rows up to c), then is updated in
     whole-array passes, so a drop costs O(m^2 + k m), with no Python loop
     per row.
     """
     m = k - 1 - j  # rows below j
+    if m == 0:  # the first k - 1 rows are the new factor
+        return
     rows = np.arange(j + 1, k)
     col_j = rows * (rows + 1) // 2 + j  # column j of the rows below j
     x = P[col_j]
@@ -200,13 +202,10 @@ def _chol_delete(P, k, j):
     keep[: j + 1] = False  # row j
     keep[col_j - start] = False
     P[start : end - k] = P[start:end][keep]
-    if m == 0:
-        return
+    base = col_j - rows  # where row r of T starts, now that it moved up
     p, d, g = np.empty(m), np.empty(m), np.empty(m)
     t = np.empty(m + 1)
     t[0] = 1.0
-    new_rows = np.arange(j, k - 1)
-    base = new_rows * (new_rows + 1) // 2 + j  # where row r of T starts
     step = max(1, _DELETE_BLOCK // m)
     for r0 in range(0, m, step):
         r1 = min(m, r0 + step)
@@ -221,10 +220,12 @@ def _chol_delete(P, k, j):
         np.cumsum(t[r0 : r1 + 1], out=t[r0 : r1 + 1])
         d[r0:r1] = np.sqrt(t[r0 + 1 : r1 + 1] / t[r0:r1])
         g[r0:r1] = p[r0:r1] / np.sqrt(t[r0:r1] * t[r0 + 1 : r1 + 1])
-        # inclusive suffix sums of T[r, i] p_i, read one column to the right
-        s = (T * p[:r1])[:, ::-1].cumsum(axis=1)[:, ::-1]
+        # g_c times the sums over i > c: the inclusive suffix sums of
+        # T[r, i] p_i, read one column to the right
+        s = (T * p[:r1])[:, ::-1].cumsum(axis=1)[:, -2::-1]
+        s *= g[: r1 - 1]
         T *= d[:r1]
-        T[:, :-1] += g[: r1 - 1] * s[:, 1:]
+        T[:, :-1] += s
         P[at[lower]] = T[lower]
 
 

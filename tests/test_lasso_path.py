@@ -502,7 +502,7 @@ def test_chol_delete_matches_the_factor_of_the_reduced_gram():
             keep = np.delete(np.arange(k), j)
             A2 = A[np.ix_(keep, keep)]
             # measured: backward error <= 1.2e-15, forward error <= 7.4e-14
-            # (condition number 1e6), the same as the Givens rotations gave
+            # (at condition number 1e6)
             assert np.abs(new @ new.T - A2).max() <= 4e-15 * np.abs(A2).max()
             ref = cholesky(A2, lower=True)
             assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
