@@ -114,7 +114,7 @@ def _shape_from(args, obj):
 def _cmd_boundary(args):
     obj = _load_config_arg(args)
     shape = _shape_from(args, obj)
-    n_points = args.n_points or 99
+    n_points = 99 if args.n_points is None else args.n_points
     points = crescent(shape, n_points=n_points)
     header = {
         "command": "boundary",
@@ -152,7 +152,7 @@ def _cmd_curve(args):
     if "epsilon" not in spec and args.epsilon is not None:
         spec = {**spec, "epsilon": args.epsilon}
     prior = prior_from_json(spec)
-    n_points = args.n_points or 50
+    n_points = 50 if args.n_points is None else args.n_points
     curve = tradeoff_curve(prior, shape, n_points=n_points)
     header = {
         "command": "curve",

@@ -29,6 +29,11 @@ Both edges share the FDP form q = 2(1-eps)Phi(-t) / (2(1-eps)Phi(-t) + eps u).
 geometric-ladder prior with mass split gamma touches the lower edge (in the
 limit of unbounded separation between consecutive effect sizes): one level
 per proper suffix mass of gamma, plus u = 1 where the crescent closes.
+
+Like ``state_evolution``, this module imports no part of ``scipy.optimize``
+when it is loaded, so that the simulation commands, which load it through
+the CLI, never pay for it: ``brentq`` is ``state_evolution.brentq``, and
+``_mtilde_grid`` imports ``elementwise`` where it uses it.
 """
 
 import math
@@ -36,14 +41,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, elementwise
 
 from .errors import ConvergenceError, DivergingRootError, InfeasibleRegionError
 # Unchecked kernels, bound to the public names that perfbench/tracing.py wraps
 from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob
 from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
 from .state_evolution import ModelShape, _bracket_walk, _check_alpha, _fdp_at
-from .state_evolution import alpha_min, noiseless_alpha_floor
+from .state_evolution import alpha_min, brentq, noiseless_alpha_floor
 
 _T_MAX = 60.0
 _SCAN_STEP = 0.05
@@ -185,6 +189,8 @@ def _upper_tpp(alpha, shape):
 
 def _mtilde_grid(alphas, shape):
     # vectorized counterpart of the root solve in ``varsigma``
+    from scipy.optimize import elementwise
+
     eps = shape.epsilon
     mn = mse_null(alphas)
     target = (shape.delta - (1.0 - eps) * mn) / eps

@@ -20,6 +20,13 @@ Conventions
 accurate to ~1e-16 relative error deep into the lower tail (where the naive
 ``1 - cdf(-x)`` form would lose all digits).
 
+``scipy.special`` (``erfc``, ``erfcx``) is imported on the first kernel call,
+not with this module: the simulation half (``lasso_path``, ``harness``) loads
+``gauss`` through ``state_evolution`` but never evaluates a kernel, and the
+import costs each of its processes ~0.05 s and ~4 MB (2-vCPU VM).  The first
+access to ``special`` replaces the placeholder with the module itself, so
+later calls pay one global lookup, as a top-level import would.
+
 ``mse_null(alpha)``    = E[eta(W; alpha)^2]          for W ~ N(0, 1)
 ``mse_signal(t, alpha)`` = E[(eta(t + W; alpha) - t)^2] for W ~ N(0, 1)
 ``excess_prob(t, alpha)`` = P(|t + W| > alpha)
@@ -28,11 +35,23 @@ where ``eta(x; c) = sign(x) * max(|x| - c, 0)`` is the soft-threshold map.
 """
 
 import numpy as np
-from scipy import special
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+class _Special:
+    """Placeholder for ``scipy.special`` until a kernel first needs it."""
+
+    def __getattr__(self, name):
+        global special
+        import scipy.special as special
+
+        return getattr(special, name)
+
+
+special = _Special()
 
 
 def _checked(name, x):

@@ -408,7 +408,10 @@ def _run_tasks(tasks, jobs):
 
     Every task runs.  If any failed, raises RuntimeError naming the
     (seed, tag, replicate) key of each failure, chained to the first one.
+    ``jobs`` must be an integer >= 1 (a boolean is not), else ValueError.
     """
+    if not (isinstance(jobs, numbers.Integral) and not isinstance(jobs, bool) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     results, failed = [], []
     with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
         calls = [

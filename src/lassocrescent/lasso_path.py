@@ -190,18 +190,27 @@ def _chol_delete(P, k, j):
     forward substitution (p_c needs only rows up to c), then is updated in
     whole-array passes, so a drop costs O(m^2 + k m), with no Python loop
     per row.
+
+    First the rows below j move up one row and lose column j, a block of
+    whole rows (at most _DELETE_BLOCK doubles) at a time, in increasing
+    order.  New row r - 1 takes the place of old row r - 1, which ends where
+    old row r starts, so a block overwrites only rows already read (or row
+    j), and each block is read before it is written.
     """
     m = k - 1 - j  # rows below j
     if m == 0:  # the first k - 1 rows are the new factor
         return
     rows = np.arange(j + 1, k)
-    col_j = rows * (rows + 1) // 2 + j  # column j of the rows below j
+    starts = rows * (rows + 1) // 2
+    col_j = starts + j  # column j of the rows below j
     x = P[col_j]
-    start, end = j * (j + 1) // 2, k * (k + 1) // 2
-    keep = np.ones(end - start, dtype=bool)
-    keep[: j + 1] = False  # row j
-    keep[col_j - start] = False
-    P[start : end - k] = P[start:end][keep]
+    step = max(1, _DELETE_BLOCK // k)
+    for r0 in range(0, m, step):
+        r1 = min(m, r0 + step)
+        lo, hi = starts[r0], starts[r1 - 1] + rows[r1 - 1] + 1
+        keep = np.ones(hi - lo, dtype=bool)
+        keep[col_j[r0:r1] - lo] = False
+        P[lo - rows[r0] : hi - rows[r1 - 1] - 1] = P[lo:hi][keep]
     base = col_j - rows  # where row r of T starts, now that it moved up
     p, d, g = np.empty(m), np.empty(m), np.empty(m)
     t = np.empty(m + 1)
@@ -232,12 +241,15 @@ def _chol_delete(P, k, j):
 def _slot_to_end(buf, pos, k):
     """Move slot pos of buf to k - 1 and slots pos + 1 .. k - 1 down by one.
 
-    One slot at a time: numpy copies an overlapping block to a temporary
-    first, which for the Gram columns would be (k - pos) x p doubles.
+    A chunk of slots at a time, in increasing order: numpy copies an
+    overlapping block to a temporary first, which for the Gram columns at
+    once would be (k - pos) x p doubles; a chunk holds at most _DELETE_BLOCK.
     """
     moved = buf[pos].copy()
-    for i in range(pos, k - 1):
-        buf[i] = buf[i + 1]
+    step = max(1, _DELETE_BLOCK // moved.size)
+    for i in range(pos, k - 1, step):
+        e = min(k - 1, i + step)
+        buf[i:e] = buf[i + 1 : e + 1]
     buf[k - 1] = moved
 
 

@@ -28,6 +28,13 @@ limit R(inf) equals N(alpha)/delta, where
 does not depend on the atom values; the equation is solvable exactly when
 N(alpha) > 0, i.e. above the noiseless floor returned by
 ``noiseless_alpha_floor``.
+
+``scipy.optimize`` is imported on the first root solve, through the module's
+``brentq``, not with this module: the simulation half (``lasso_path``,
+``harness``) imports this module for ``DiscretePrior`` but never solves a
+root, and the import costs each of its processes ~0.15-0.2 s and ~17 MB
+(2-vCPU VM).  ``crescent`` solves its roots through the same ``brentq``,
+which keeps that name because ``perfbench/tracing.py`` wraps it.
 """
 
 import math
@@ -35,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, InfeasibleRegionError
 # Unchecked kernels, bound to the public names that perfbench/tracing.py wraps
@@ -48,6 +54,13 @@ _RESIDUAL_TOL = 1e-10
 # and beyond push the solution theta far below 1e-14.
 _THETA_MIN = 1e-18
 _THETA_MAX = 1e18
+
+
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, imported on first use (see the module docstring)."""
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,38 @@ def test_import_leaves_out_scipy_signal():
     assert res.stdout.strip() == "False"
 
 
+def test_simulation_half_leaves_out_scipy_optimize_and_special(tmp_path):
+    # the simulation commands never solve a root or evaluate a Gaussian
+    # kernel; loading both modules costs each process and pool worker
+    # ~0.2 s and ~20 MB (2-vCPU VM).  The theory half loads them on first use.
+    cfg = json.dumps(TINY_SIM_CONFIG)
+    code = f"""
+import sys
+import lassocrescent, lassocrescent.cli
+from lassocrescent import DiscretePrior, ModelShape, config_from_json
+from lassocrescent import run_tradeoff_experiment, tradeoff_curve
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+
+run_tradeoff_experiment(config_from_json({cfg!r}))
+assert lassocrescent.cli.main(["path", "--config", {cfg!r}, "--out", sys.argv[1]]) == 0
+print("simulation", loaded())
+prior = DiscretePrior(atoms=((1.0, 0.2),), null_mass=0.8)
+tradeoff_curve(prior, ModelShape(delta=1.0, epsilon=0.2), n_points=5)
+print("theory", loaded())
+"""
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "path.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "simulation []" in lines, res.stdout
+    assert "theory ['scipy.optimize', 'scipy.special']" in lines, res.stdout
+
+
 def test_boundary_table(tmp_path):
     out = tmp_path / "b.csv"
     res = run_cli(
@@ -362,6 +394,7 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
     }
     iid_equicorrelation = {**sim["design"], "structure": "equicorrelation"}
     linear = rank["coefficients"]
+    homogeneous = '{"kind": "homogeneous", "epsilon": 0.2, "magnitude": 1}'
     (tmp_path / "list.json").write_text("[1, 2]")
     monkeypatch.setenv("LASSOCRESCENT_OUTDIR", str(tmp_path))
     for argv in (
@@ -397,6 +430,20 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
         ),
         # fields the kind ignores, which the header would echo
         ["simulate", "--config", json.dumps({**sim, "design": iid_equicorrelation})],
+        # grid sizes and worker counts below the least valid value
+        *(
+            ["boundary", "--delta", "1", "--epsilon", "0.2", "--n-points", n]
+            for n in ("0", "-2")
+        ),
+        *(
+            ["curve", "--delta", "1", "--epsilon", "0.2", "--n-points", n, "--prior", homogeneous]
+            for n in ("0", "-2")
+        ),
+        *(
+            [command, "--config", json.dumps(config), "--jobs", jobs]
+            for command, config in (("simulate", sim), ("rank", rank))
+            for jobs in ("0", "-3")
+        ),
         *(
             ["rank", "--config", json.dumps({**rank, "coefficients": {**linear, name: value}})]
             for name, value in (("magnitude", 2.0), ("values", [1.0]), ("counts", [1]))

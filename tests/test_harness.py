@@ -340,6 +340,15 @@ def test_run_tradeoff_mode_check():
         run_tradeoff_experiment(rank_cfg)
 
 
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.0, "2"])
+def test_jobs_must_be_a_positive_integer(jobs):
+    config = _tiny_tradeoff_config()
+    rank_cfg = dataclasses.replace(config, mode="rank", tpp_grid=())
+    for run, cfg in ((run_tradeoff_experiment, config), (run_rank_experiment, rank_cfg)):
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            run(cfg, jobs=jobs)
+
+
 def test_tradeoff_replicate_at_one_observation():
     # the path's size cap was min(n - 1, p, 2k + 64) = 0 at n = 1
     config = _tiny_tradeoff_config(

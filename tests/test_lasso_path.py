@@ -23,7 +23,7 @@ from lassocrescent import (
     tpp_fdp_along_path,
 )
 
-from lassocrescent.lasso_path import _chol_delete, _levels
+from lassocrescent.lasso_path import _DELETE_BLOCK, _chol_delete, _levels, _slot_to_end
 from oracles import cd_lasso, path_levels
 
 
@@ -506,6 +506,31 @@ def test_chol_delete_matches_the_factor_of_the_reduced_gram():
             assert np.abs(new @ new.T - A2).max() <= 4e-15 * np.abs(A2).max()
             ref = cholesky(A2, lower=True)
             assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+    # memory of one drop at k = 1000, j = 0: block arrays of at most
+    # _DELETE_BLOCK entries, never a copy of all 999 trailing rows (4 MB)
+    k = 1000
+    X = rng.standard_normal((k + 10, k))
+    P = _packed(cholesky(X.T @ X, lower=True))
+    tracemalloc.start()
+    try:
+        _chol_delete(P, k, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # measured 0.74 MB
+
+
+def test_slot_to_end_moves_chunks_in_order():
+    # rows of 5000 doubles give chunks of 3 slots; 1-D buffers one chunk
+    for width in (None, 5000):
+        shape = (11,) if width is None else (11, width)
+        buf = np.random.default_rng(4).standard_normal(shape)
+        for pos, k in ((0, 11), (2, 9), (7, 8), (4, 5)):
+            want = buf.copy()
+            want[pos:k] = np.roll(buf[pos:k], -1, axis=0)
+            _slot_to_end(buf, pos, k)
+            assert np.array_equal(buf, want)
+    assert _DELETE_BLOCK // 5000 == 3
 
 
 def test_deterministic():
