@@ -13,8 +13,8 @@ Two experiment modes:
   the largest TPP not exceeding it, latest such event in path order), then
   averaged across replicates.
 * ``rank``: early-stopped paths recording the first-false-selection rank,
-  optionally swept over a design or coefficient parameter (sweep value i
-  draws with tag i).
+  optionally swept over ``k`` or ``rho``: sweep value i becomes a config of its
+  own, checked as a written one, and draws with tag i.
 
 Both modes run their replicates through one runner: in order in this process
 at ``jobs=1``, else on one process pool per experiment.  Results come back in
@@ -40,33 +40,39 @@ from .state_evolution import DiscretePrior
 
 _DESIGN_KINDS = ("iid_gaussian", "correlated_gaussian", "bernoulli_pm", "genotype_file")
 _COEF_KINDS = ("prior_sample", "fixed_levels", "geometric", "linear", "equal")
-_K_KINDS = ("geometric", "linear", "equal")  # the kinds whose support size is k
 _MAGNITUDE_CAP = 1e300
 # A field's JSON metadata: "json_default", its value when a JSON config leaves it
 # out, and "json_write", whether config_to_json writes it (see there)
 _JSON_ALWAYS = {"json_write": lambda spec: True}
 
 
-def _reject_unread(spec, kinds_reading):
-    """Raise ValueError for a field that ``spec.kind`` does not read yet that
-    holds other than its default: the draw would ignore it, while the output
-    header would echo it.  ``kinds_reading`` maps a field to the kinds that
-    read it."""
+# The kinds (for a config, the modes) that read each optional field
+_CORRELATED = ("correlated_gaussian",)
+_DESIGN_READS = {"rho": _CORRELATED, "structure": _CORRELATED, "path": ("genotype_file",)}
+_COEF_READS = {
+    "prior": ("prior_sample",),
+    "values": ("fixed_levels",),
+    "counts": ("fixed_levels",),
+    "magnitude": ("geometric", "equal"),
+    "k": ("geometric", "linear", "equal"),
+}
+_MODE_READS = {"tpp_grid": ("tradeoff",), "sweep_param": ("rank",), "sweep_values": ("rank",)}
+# The spec that holds the field each sweep shorthand names
+_SWEPT = {"k": ("coefficients", _COEF_READS), "rho": ("design", _DESIGN_READS)}
+
+
+def _reject_unread(spec, kind, kinds_reading):
+    """Raise ValueError for a field that ``kind`` does not read yet that holds
+    other than its default: the run would ignore it, while the output header
+    would echo it.  ``kinds_reading`` maps a field to the kinds that read it."""
     defaults = {f.name: f.default for f in dataclasses.fields(spec)}
     for name, kinds in kinds_reading.items():
         value = getattr(spec, name)
-        if spec.kind not in kinds and value != defaults[name]:
+        if kind not in kinds and value != defaults[name]:
             raise ValueError(
-                f"{name} applies only to kind {' or '.join(kinds)}, "
-                f"got {name}={value!r} on {spec.kind!r}"
+                f"{name} applies only to {' or '.join(kinds)}, "
+                f"got {name}={value!r} on {kind!r}"
             )
-
-
-def _integral(x):
-    """Whether ``x`` is an integer or an integral float; a boolean is neither."""
-    return not isinstance(x, bool) and (
-        isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer()
-    )
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,7 @@ class DesignSpec:
             raise ValueError(f"unknown design kind {self.kind!r}, expected {_DESIGN_KINDS}")
         if self.kind != "genotype_file" and (self.n < 1 or self.p < 1):
             raise ValueError(f"need n, p >= 1, got n={self.n}, p={self.p}")
-        correlated = ("correlated_gaussian",)
-        _reject_unread(
-            self, {"rho": correlated, "structure": correlated, "path": ("genotype_file",)}
-        )
+        _reject_unread(self, self.kind, _DESIGN_READS)
         if self.kind == "correlated_gaussian":
             if not 0.0 <= self.rho < 1.0:
                 raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
@@ -134,16 +137,7 @@ class CoefficientSpec:
         for v in (self.magnitude, *self.values):
             if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ValueError(f"magnitude and values must be finite numbers, got {v!r}")
-        _reject_unread(
-            self,
-            {
-                "prior": ("prior_sample",),
-                "values": ("fixed_levels",),
-                "counts": ("fixed_levels",),
-                "magnitude": ("geometric", "equal"),
-                "k": _K_KINDS,
-            },
-        )
+        _reject_unread(self, self.kind, _COEF_READS)
         if self.kind == "prior_sample":
             if self.prior is None:
                 raise ValueError("prior_sample needs a DiscretePrior")
@@ -200,33 +194,39 @@ class ExperimentConfig:
                 f"coefficients.p = {self.coefficients.p} disagrees with design.p = {self.design.p}"
             )
         # an empty grid is kept for ``path``; run_tradeoff_experiment needs one
-        if self.mode == "tradeoff":
-            grid = tuple(float(g) for g in self.tpp_grid)
-            if any(not 0.0 <= g <= 1.0 for g in grid) or list(grid) != sorted(grid):
-                raise ValueError("tpp_grid must be a nondecreasing tuple inside [0, 1]")
-            object.__setattr__(self, "tpp_grid", grid)
-        if self.sweep_param not in ("", "k", "rho"):
-            raise ValueError(f"sweep_param must be '', 'k' or 'rho', got {self.sweep_param!r}")
-        if self.sweep_param and not self.sweep_values:
-            raise ValueError("sweep_values must be nonempty when sweep_param is set")
-        if self.sweep_param and self.mode == "tradeoff":
-            raise ValueError("a sweep needs mode 'rank'; tradeoff experiments run one setting")
-        # a sweep over a parameter the draw ignores would repeat one setting
-        if self.sweep_param == "k" and self.coefficients.kind not in _K_KINDS:
-            raise ValueError(
-                f"a k sweep needs coefficients of kind {_K_KINDS}, got {self.coefficients.kind!r}"
-            )
-        if self.sweep_param == "k" and not all(_integral(v) for v in self.sweep_values):
-            raise ValueError(f"a k sweep takes integers, got {self.sweep_values}")
-        if self.sweep_param == "rho" and self.design.kind != "correlated_gaussian":
-            raise ValueError(
-                f"a rho sweep needs a correlated_gaussian design, got {self.design.kind!r}"
-            )
-        if self.sweep_param == "rho" and not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 <= v < 1.0
-            for v in self.sweep_values
-        ):
-            raise ValueError(f"a rho sweep takes numbers in [0, 1), got {self.sweep_values}")
+        grid = tuple(float(g) for g in self.tpp_grid)
+        if any(not 0.0 <= g <= 1.0 for g in grid) or list(grid) != sorted(grid):
+            raise ValueError("tpp_grid must be a nondecreasing tuple inside [0, 1]")
+        object.__setattr__(self, "tpp_grid", grid)
+        _reject_unread(self, self.mode, _MODE_READS)
+        _settings(self)  # every sweep value is checked before any replicate runs
+
+
+def _settings(config):
+    """``(value, config)`` for each setting of a rank experiment: the config
+    itself, labelled by its k, or for each sweep value the config with the field
+    that ``sweep_param`` names replaced, coerced and checked as in a written config."""
+    name = config.sweep_param
+    if name == "" and not config.sweep_values:
+        return [(float(config.coefficients.k), config)]
+    if name not in tuple(_SWEPT) or not config.sweep_values:  # a JSON name may be unhashable
+        raise ValueError(f"a sweep needs sweep_param 'k' or 'rho' and sweep_values, got {name!r}")
+    where, reads = _SWEPT[name]
+    spec = getattr(config, where)
+    if spec.kind not in reads[name]:  # the draw would ignore the swept field
+        raise ValueError(f"a {name} sweep needs {where}.kind in {reads[name]}, got {spec.kind!r}")
+    coerce = _COERCE[type(spec).__annotations__[name]]
+    base = dataclasses.replace(config, sweep_param="", sweep_values=())
+    settings = []
+    for i, value in enumerate(config.sweep_values):
+        try:
+            swept = dataclasses.replace(spec, **{name: coerce(value)})
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"sweep_values[{i}] = {value!r} as {where}.{name}: {exc}") from None
+        settings.append((value, dataclasses.replace(base, **{where: swept})))
+    if len({float(value) for value, _ in settings}) < len(settings):
+        raise ValueError(f"sweep_values must be distinct, got {config.sweep_values!r}")
+    return settings
 
 
 @dataclass(frozen=True)
@@ -347,12 +347,10 @@ def fdp_on_grid(event_tpp, event_fdp, grid):
     return out
 
 
-def _simulate_instance(config, rep_id, tag=0, design=None, coefficients=None):
-    design = design or config.design
-    coefficients = coefficients or config.coefficients
+def _simulate_instance(config, rep_id, tag=0):
     rng_x, rng_b, rng_z = replicate_rng(config.seed, rep_id, tag=tag)
-    X = sample_design(design, rng_x)
-    beta, support = sample_coefficients(coefficients, rng_b)
+    X = sample_design(config.design, rng_x)
+    beta, support = sample_coefficients(config.coefficients, rng_b)
     y = X @ beta
     if config.sigma > 0:
         y = y + config.sigma * rng_z.standard_normal(X.shape[0])
@@ -385,10 +383,8 @@ def _tradeoff_replicate(config, tag, rep_id):
     )
 
 
-def _rank_replicate(config, tag, rep_id, design, coefficients):
-    X, y, support = _simulate_instance(
-        config, rep_id, tag=tag, design=design, coefficients=coefficients
-    )
+def _rank_replicate(config, tag, rep_id):
+    X, y, support = _simulate_instance(config, rep_id, tag=tag)
     path = lasso_path(X, y, stop_outside_support=support)
     res = first_false_rank(path, support)
     return ReplicateResult(
@@ -402,7 +398,7 @@ def _rank_replicate(config, tag, rep_id, design, coefficients):
 
 
 def _run_tasks(tasks, jobs):
-    """Run replicate tasks ``(function, (config, tag, rep_id, ...))`` and
+    """Run replicate tasks ``(function, (config, tag, rep_id))`` and
     return their results in task order: one after another in this process at
     ``jobs=1``, on one pool of ``jobs`` worker processes otherwise.
 
@@ -418,7 +414,7 @@ def _run_tasks(tasks, jobs):
             pool.submit(fn, *args).result if pool else functools.partial(fn, *args)
             for fn, args in tasks
         ]
-        for (_, (config, tag, rep_id, *_)), call in zip(tasks, calls):
+        for (_, (config, tag, rep_id)), call in zip(tasks, calls):
             try:
                 results.append(call())
             except Exception as exc:  # noqa: BLE001 - every failure is named below
@@ -477,32 +473,19 @@ def run_rank_experiment(config, jobs=1):
     value run on one pool of ``jobs`` processes.  Any failed replicate aborts
     the experiment with RuntimeError (see ``_run_tasks``).  Censored
     replicates enter the statistics at rank k+1 (flagged, never dropped).
-    Without a sweep the single row uses the configured spec.
     """
     if config.mode != "rank":
         raise ValueError(f"config.mode is {config.mode!r}, expected 'rank'")
-    if config.sweep_param == "k":
-        settings = [
-            (v, config.design, dataclasses.replace(config.coefficients, k=int(v)))
-            for v in config.sweep_values
-        ]
-    elif config.sweep_param == "rho":
-        settings = [
-            (v, dataclasses.replace(config.design, rho=float(v)), config.coefficients)
-            for v in config.sweep_values
-        ]
-    else:
-        settings = [(float(config.coefficients.k), config.design, config.coefficients)]
-
+    settings = _settings(config)
     reps = config.replicates
     tasks = [
-        (_rank_replicate, (config, tag, rep, design, coefficients))
-        for tag, (_, design, coefficients) in enumerate(settings)
+        (_rank_replicate, (swept, tag, rep))
+        for tag, (_, swept) in enumerate(settings)
         for rep in range(reps)
     ]
     results = _run_tasks(tasks, jobs)
     rows, reps_by_value = [], {}
-    for tag, (value, _, _) in enumerate(settings):
+    for tag, (value, _) in enumerate(settings):
         chunk = results[tag * reps : (tag + 1) * reps]
         ranks = np.array([r.rank for r in chunk], dtype=float)
         rows.append(
@@ -544,19 +527,34 @@ def prior_from_json(obj):
 
 
 def _strict_int(x):
-    """``int(x)`` for an integral number; anything else is an error, never truncated."""
-    if not _integral(x):
+    """``int(x)`` for an integral number, never truncated; anything else is an error."""
+    integral = isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer()
+    if isinstance(x, bool) or not integral:
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+def _strict_float(x):
+    """``float(x)`` for a real number; a boolean or a string is an error."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def _strict_tuple(items, item=lambda x: x):
+    """The tuple of ``item(x)`` over a list; a string or an object is an error."""
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"expected a list, got {items!r}")
+    return tuple(map(item, items))
 
 
 # Coercion of a given JSON value by its field's annotation
 _COERCE = {
     int: _strict_int,
-    float: float,
-    tuple: tuple,  # sweep values keep their JSON number type
-    tuple[float, ...]: lambda items: tuple(map(float, items)),
-    tuple[int, ...]: lambda items: tuple(map(_strict_int, items)),
+    float: _strict_float,
+    tuple: _strict_tuple,  # sweep values keep their JSON number type
+    tuple[float, ...]: functools.partial(_strict_tuple, item=_strict_float),
+    tuple[int, ...]: functools.partial(_strict_tuple, item=_strict_int),
     DiscretePrior: prior_from_json,
 }
 
@@ -585,7 +583,7 @@ def fields_from_json(cls, obj, name, **defaults):
         coerce = _COERCE.get(f.type)
         try:
             kwargs[f.name] = coerce(obj[f.name]) if coerce else obj[f.name]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer
             raise ValueError(f"{name}.{f.name}: {exc}") from None
     return kwargs
 

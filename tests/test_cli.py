@@ -392,6 +392,7 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
     rho_sweep = {
         **rank, "design": {**rank["design"], "kind": "correlated_gaussian"}, "sweep_param": "rho"
     }
+    correlated = rho_sweep["design"]
     iid_equicorrelation = {**sim["design"], "structure": "equicorrelation"}
     linear = rank["coefficients"]
     homogeneous = '{"kind": "homogeneous", "epsilon": 0.2, "magnitude": 1}'
@@ -448,6 +449,23 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
             ["rank", "--config", json.dumps({**rank, "coefficients": {**linear, name: value}})]
             for name, value in (("magnitude", 2.0), ("values", [1.0]), ("counts", [1]))
         ),
+        # a number field takes a JSON number: no boolean, no numeric string, none past a float
+        *(
+            ["simulate", "--config", json.dumps({**sim, "sigma": value})]
+            for value in (True, "0.5", 10**400)
+        ),
+        ["simulate", "--config", json.dumps({**sim, "design": {**correlated, "rho": "0.3"}})],
+        ["simulate", "--config", json.dumps({**sim, "coefficients": {**levels, "values": ["1"]}})],
+        ["simulate", "--config", json.dumps({**sim, "coefficients": {**levels, "values": [True]}})],
+        ["simulate", "--config", json.dumps({**sim, "tpp_grid": ["0.5"]})],
+        ["boundary", "--config", '{"delta": true, "epsilon": 0.2}'],
+        ["rank", "--config", json.dumps({**rho_sweep, "sweep_values": [False]})],
+        # sweep values that share a row label, or a k sweep the kind ignores
+        ["rank", "--config", json.dumps({**rank, "sweep_values": [2, 2.0]})],
+        ["rank", "--config", json.dumps({**rank, "coefficients": levels, "sweep_values": [0]})],
+        # fields the mode ignores
+        ["rank", "--config", json.dumps({**rank, "sweep_param": "", "sweep_values": [5, 9]})],
+        ["rank", "--config", json.dumps({**rank, "tpp_grid": [0.5]})],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
@@ -484,7 +502,8 @@ def test_failed_replicate_exit_code(tmp_path, command, jobs):
         "coefficients": {"kind": "equal", "p": 7, "magnitude": 5.0, "k": 2},
         "replicates": 2,
         "seed": 9,
-        "tpp_grid": [0.5],
+        # rank mode reads no grid, so its config may not hold one
+        **({"tpp_grid": [0.5]} if command == "simulate" else {}),
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lassocrescent import (
     CoefficientSpec,
@@ -26,7 +28,7 @@ from lassocrescent import (
     sample_design,
     tpp_fdp_along_path,
 )
-from lassocrescent.harness import _simulate_instance
+from lassocrescent.harness import _rank_replicate, _settings, _simulate_instance
 from oracles import cholesky_design
 
 
@@ -396,23 +398,59 @@ def test_sweeps_need_a_parameter_the_draw_uses():
         CoefficientSpec(kind="fixed_levels", p=30, values=(1.0, 2.0), counts=(1, 1)),
         CoefficientSpec(kind="prior_sample", p=30, prior=prior),
     ):
-        with pytest.raises(ValueError, match="k sweep"):
-            ExperimentConfig(
-                coefficients=coefficients, sweep_param="k", sweep_values=(2, 30), **base
-            )
+        # k = 0 is the default k, so only the kind check refuses it
+        for values in ((2, 30), (0,)):
+            with pytest.raises(ValueError, match="k sweep"):
+                ExperimentConfig(
+                    coefficients=coefficients, sweep_param="k", sweep_values=values, **base
+                )
     linear = CoefficientSpec(kind="linear", p=30, k=2)
     with pytest.raises(ValueError, match="rho sweep"):
         ExperimentConfig(coefficients=linear, sweep_param="rho", sweep_values=(0.1, 0.5), **base)
     # a fractional k would run at its truncation under its own label
-    with pytest.raises(ValueError, match="k sweep takes integers"):
+    with pytest.raises(ValueError, match=r"sweep_values\[0\] = 2.5 as coefficients.k: expected an"):
         ExperimentConfig(coefficients=linear, sweep_param="k", sweep_values=(2.5, 3), **base)
     # a rho sweep value outside [0, 1) would fail in every replicate
     correlated = {**base, "design": DesignSpec(kind="correlated_gaussian", n=30, p=30)}
-    for value in (None, "a", 1.0, -0.1, float("nan"), True):
-        with pytest.raises(ValueError, match="rho sweep takes numbers"):
+    for value in (None, "a", 1.0, -0.1, float("nan"), True, False):
+        with pytest.raises(ValueError, match=r"sweep_values\[1\] = .* as design.rho"):
             ExperimentConfig(
                 coefficients=linear, sweep_param="rho", sweep_values=(0.5, value), **correlated
             )
+    # equal values would share one row label, and the later block would
+    # overwrite the earlier one in RankSummary.replicates
+    for param, values, config in (
+        ("rho", (0.1, 0.1, 0.5), correlated),
+        ("k", (2, 2.0), base),
+    ):
+        with pytest.raises(ValueError, match="sweep_values must be distinct"):
+            ExperimentConfig(coefficients=linear, sweep_param=param, sweep_values=values, **config)
+
+
+@pytest.mark.parametrize(
+    "param, values, design",
+    [
+        ("k", (2, 4.0), DesignSpec(kind="iid_gaussian", n=30, p=30)),
+        ("rho", (0.0, 0.6), DesignSpec(kind="correlated_gaussian", n=30, p=30, rho=0.3)),
+    ],
+)
+def test_a_sweep_value_runs_as_its_written_config(param, values, design):
+    # value i's replicates are those of a config written with that value, at tag i
+    base = dict(
+        design=design,
+        coefficients=CoefficientSpec(kind="linear", p=30, k=3),
+        sigma=0.5,
+        replicates=2,
+        seed=21,
+        mode="rank",
+    )
+    summary = run_rank_experiment(ExperimentConfig(sweep_param=param, sweep_values=values, **base))
+    spec = "coefficients" if param == "k" else "design"
+    for tag, value in enumerate(values):
+        swept = dataclasses.replace(base[spec], **{param: type(getattr(base[spec], param))(value)})
+        written = ExperimentConfig(**{**base, spec: swept})
+        expected = [_rank_replicate(written, tag, rep) for rep in range(2)]
+        assert summary.replicates[float(value)] == expected
 
 
 def test_run_rank_experiment_sweep_k():
@@ -562,6 +600,87 @@ def test_config_json_round_trip_exact():
         header = json.loads(path.read_text().splitlines()[1].removeprefix("# config: "))
         echoed = config_to_json(config_from_json(header["config"]))
         assert json.dumps(echoed, sort_keys=True) == json.dumps(header["config"], sort_keys=True)
+
+
+_RANK_JSON = {
+    "design": {"kind": "correlated_gaussian", "n": 30, "p": 30, "rho": 0.2},
+    "coefficients": {"kind": "linear", "k": 3},
+    "sigma": 0.5,
+    "replicates": 2,
+    "seed": 1,
+    "mode": "rank",
+}
+_RANK_SWEEPS = (
+    {"sweep_param": "rho", "sweep_values": [0.0, 0.3]},
+    {"sweep_param": "k", "sweep_values": [2, 4]},
+)
+# where a value goes: a field of the config or of a spec, or one sweep value
+_PLACES = [
+    *((name,) for name in ("sigma", "replicates", "seed", "mode", "tpp_grid", "sweep_param")),
+    ("sweep_values",),
+    *(("design", name) for name in ("kind", "n", "p", "rho", "structure", "path")),
+    ("design", "variance_scale"),
+    *(("coefficients", name) for name in ("kind", "p", "k", "magnitude", "values", "counts")),
+    ("coefficients", "prior"),
+    ("sweep_values", 0),
+    ("sweep_values", 1),
+]
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 40),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "0.3", "2", "k", "rho", "linear", "toeplitz", "rank"]),
+)
+
+
+def _json_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _same_json(held, given):
+    """Whether a config holds ``given`` up to JSON number type: no JSON boolean,
+    string, list or null turns into a number, nor the other way round."""
+    if isinstance(given, list) or isinstance(held, tuple):
+        return (
+            isinstance(given, list)
+            and isinstance(held, tuple)
+            and len(held) == len(given)
+            and all(map(_same_json, held, given))
+        )
+    if _json_number(given) or _json_number(held):
+        return _json_number(given) and _json_number(held) and held == given
+    return type(held) is type(given) and held == given
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    sweep=st.sampled_from(_RANK_SWEEPS),
+    place=st.sampled_from(_PLACES),
+    value=_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3),
+)
+def test_json_config_is_refused_or_held_as_given(sweep, place, value):
+    # one field or sweep value of a valid rank config takes any JSON value:
+    # either the config is refused, or it holds the value as given, reads
+    # back unchanged from its JSON, and so does each of its settings
+    obj = json.loads(json.dumps({**_RANK_JSON, **sweep}))
+    *parents, last = place
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    try:
+        config = config_from_json(obj)
+    except ValueError:
+        return
+    held = config
+    for key in place:
+        held = held[key] if isinstance(key, int) else getattr(held, key)
+    assert _same_json(held, value)
+    assert config_from_json(config_to_json(config)) == config
+    for _, setting in _settings(config):
+        assert config_from_json(config_to_json(setting)) == setting
 
 
 def test_config_from_json_string_and_defaults():
