@@ -147,11 +147,9 @@ def _cmd_curve(args):
     config_prior = obj.pop("prior", None)  # the rest of the config is the shape
     shape = _shape_from(args, obj)
     spec = json.loads(args.prior) if args.prior else config_prior
-    if not isinstance(spec, dict):
+    if spec is None:
         raise ValueError("curve needs a prior object (--prior JSON or 'prior' in --config)")
-    if "epsilon" not in spec and args.epsilon is not None:
-        spec = {**spec, "epsilon": args.epsilon}
-    prior = prior_from_json(spec)
+    prior = prior_from_json(spec, epsilon=shape.epsilon)
     n_points = 50 if args.n_points is None else args.n_points
     curve = tradeoff_curve(prior, shape, n_points=n_points)
     header = {
@@ -159,10 +157,7 @@ def _cmd_curve(args):
         "delta": shape.delta,
         "epsilon": shape.epsilon,
         "sigma": shape.sigma,
-        "prior": {
-            "values": [v for v, _ in prior.atoms],
-            "probabilities": [p for _, p in prior.atoms],
-        },
+        "prior": config_to_json(prior),
         "n_points": n_points,
     }
     rows = list(zip(curve.alpha, curve.lam, curve.tau, curve.tpp, curve.fdp))
@@ -180,6 +175,8 @@ def _config_from(args, mode):
 
 def _cmd_path(args):
     config = _config_from(args, "tradeoff")
+    if args.replicate < 0:
+        raise ValueError(f"--replicate must be a nonnegative integer, got {args.replicate}")
     X, y, support = _simulate_instance(config, args.replicate)
     path = lasso_path(X, y)
     stats = tpp_fdp_along_path(path, support)

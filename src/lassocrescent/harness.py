@@ -26,6 +26,7 @@ naming the (seed, tag, replicate) key of every failed replicate.
 import contextlib
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import numbers
@@ -505,27 +506,6 @@ def run_rank_experiment(config, jobs=1):
 # --- JSON config (used by the command line tool) ---------------------------
 
 
-def prior_from_json(obj):
-    """DiscretePrior from {"kind": "homogeneous"|"heterogeneous"|"levels", ...}."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("prior must be an object with a 'kind' field")
-    kind = obj["kind"]
-    try:
-        if kind == "homogeneous":
-            return DiscretePrior.homogeneous(obj["epsilon"], obj["magnitude"])
-        if kind == "heterogeneous":
-            return DiscretePrior.heterogeneous(obj["epsilon"], obj["m"], obj["base"])
-        if kind == "levels":
-            return DiscretePrior.from_levels(
-                obj["epsilon"], obj["values"], obj.get("weights")
-            )
-    except KeyError as missing:
-        raise ValueError(f"prior spec is missing field {missing}") from None
-    except (AttributeError, TypeError) as exc:
-        raise ValueError(f"prior spec has a field of the wrong type: {exc}") from None
-    raise ValueError(f"unknown prior kind {kind!r}")
-
-
 def _strict_int(x):
     """``int(x)`` for an integral number, never truncated; anything else is an error."""
     integral = isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer()
@@ -541,11 +521,33 @@ def _strict_float(x):
     return float(x)
 
 
-def _strict_tuple(items, item=lambda x: x):
-    """The tuple of ``item(x)`` over a list; a string or an object is an error."""
-    if not isinstance(items, (list, tuple)):
-        raise ValueError(f"expected a list, got {items!r}")
+def _strict_tuple(items, item=lambda x: x, size=None):
+    """The tuple of ``item(x)`` over a list (of ``size`` items, if given), else an error."""
+    if not isinstance(items, (list, tuple)) or size not in (None, len(items)):
+        raise ValueError(f"expected a list{f' of {size}' if size else ''}, got {items!r}")
     return tuple(map(item, items))
+
+
+_PRIOR_RECIPES = {
+    "homogeneous": DiscretePrior.homogeneous,
+    "heterogeneous": DiscretePrior.heterogeneous,
+    "levels": DiscretePrior.from_levels,
+}
+
+
+def prior_from_json(obj, **defaults):
+    """DiscretePrior from its JSON object: its own fields (``atoms`` as
+    [value, probability] pairs, ``null_mass``), as ``config_to_json`` writes
+    it, or a recipe {"kind": "homogeneous"|"heterogeneous"|"levels", ...} whose
+    other fields are the parameters of that constructor, ``defaults`` filling
+    in missing ones."""
+    if not (isinstance(obj, dict) and "kind" in obj):
+        return DiscretePrior(**fields_from_json(DiscretePrior, obj, "prior"))
+    kind, fields = obj["kind"], {k: v for k, v in obj.items() if k != "kind"}
+    if kind not in tuple(_PRIOR_RECIPES):  # a JSON kind may be unhashable
+        raise ValueError(f"unknown prior kind {kind!r}, expected {tuple(_PRIOR_RECIPES)}")
+    recipe = _PRIOR_RECIPES[kind]
+    return recipe(**fields_from_json(recipe, fields, f"{kind} prior", **defaults))
 
 
 # Coercion of a given JSON value by its field's annotation
@@ -555,36 +557,43 @@ _COERCE = {
     tuple: _strict_tuple,  # sweep values keep their JSON number type
     tuple[float, ...]: functools.partial(_strict_tuple, item=_strict_float),
     tuple[int, ...]: functools.partial(_strict_tuple, item=_strict_int),
+    tuple[tuple[float, float], ...]: functools.partial(
+        _strict_tuple, item=functools.partial(_strict_tuple, item=_strict_float, size=2)
+    ),
     DiscretePrior: prior_from_json,
 }
 
 
 def fields_from_json(cls, obj, name, **defaults):
-    """Keyword arguments for the dataclass ``cls`` read from the JSON object ``obj``.
+    """Keyword arguments for ``cls`` read from the JSON object ``obj``.
 
-    The fields of ``cls`` are the JSON schema.  A given value is coerced by its
-    field's annotation through ``_COERCE`` (other types pass as given); a
-    missing one takes its entry in ``defaults``, else its "json_default"
-    metadata, else its dataclass default.  ``name`` labels errors.
+    The parameters of ``cls`` (a dataclass's fields, or a function's
+    parameters) are the JSON schema.  A given value is coerced by its
+    annotation through ``_COERCE`` (other types pass as given); a missing one
+    takes its entry in ``defaults``, else its "json_default" metadata, else
+    its default.  ``name`` labels errors.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(obj).__name__}")
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(obj) - {f.name for f in fields})
+    params = inspect.signature(cls).parameters.values()
+    unknown = sorted(set(obj) - {p.name for p in params})
     if unknown:
         raise ValueError(f"unknown {name} fields: {unknown}")
+    for f in dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ():
+        if "json_default" in f.metadata:
+            defaults.setdefault(f.name, f.metadata["json_default"])
     kwargs = {}
-    for f in fields:
-        if f.name not in obj:
-            kwargs[f.name] = defaults.get(f.name, f.metadata.get("json_default", f.default))
-            if kwargs[f.name] is dataclasses.MISSING:
-                raise ValueError(f"{name} is missing field {f.name!r}")
+    for p in params:
+        if p.name not in obj:
+            kwargs[p.name] = defaults.get(p.name, p.default)
+            if kwargs[p.name] is p.empty:
+                raise ValueError(f"{name} is missing field {p.name!r}")
             continue
-        coerce = _COERCE.get(f.type)
+        coerce = _COERCE.get(p.annotation)
         try:
-            kwargs[f.name] = coerce(obj[f.name]) if coerce else obj[f.name]
+            kwargs[p.name] = coerce(obj[p.name]) if coerce else obj[p.name]
         except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer
-            raise ValueError(f"{name}.{f.name}: {exc}") from None
+            raise ValueError(f"{name}.{p.name}: {exc}") from None
     return kwargs
 
 
@@ -620,14 +629,7 @@ def config_to_json(config):
         write = f.metadata.get("json_write")
         if not (write(config) if write else value != f.default):
             continue
-        if isinstance(value, DiscretePrior):
-            value = {
-                "kind": "levels",
-                "epsilon": value.epsilon,
-                "values": [v for v, _ in value.atoms],
-                "weights": [p for _, p in value.atoms],
-            }
-        elif dataclasses.is_dataclass(value):
+        if dataclasses.is_dataclass(value):
             value = config_to_json(value)
         out[f.name] = list(value) if isinstance(value, tuple) else value
     return out

@@ -89,7 +89,7 @@ class DiscretePrior:
     probabilities must sum to one.
     """
 
-    atoms: tuple
+    atoms: tuple[tuple[float, float], ...]
     null_mass: float
 
     def __post_init__(self):
@@ -111,12 +111,12 @@ class DiscretePrior:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
     @classmethod
-    def homogeneous(cls, epsilon, magnitude):
+    def homogeneous(cls, epsilon: float, magnitude: float):
         """Single-effect-size prior: magnitude with probability epsilon."""
         return cls(atoms=((magnitude, epsilon),), null_mass=1.0 - epsilon)
 
     @classmethod
-    def heterogeneous(cls, epsilon, m, base):
+    def heterogeneous(cls, epsilon: float, m: int, base: float):
         """Geometric ladder of m atoms base^1, ..., base^m, equal mass eps/m."""
         if m < 1:
             raise ValueError("m must be at least 1")
@@ -132,7 +132,9 @@ class DiscretePrior:
         )
 
     @classmethod
-    def from_levels(cls, epsilon, values, weights=None):
+    def from_levels(
+        cls, epsilon: float, values: tuple[float, ...], weights: tuple[float, ...] = None
+    ):
         """Atoms at ``values`` carrying total mass epsilon split by ``weights``
         (uniform when omitted)."""
         values = [float(v) for v in values]

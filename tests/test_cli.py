@@ -224,7 +224,7 @@ def test_curve_matches_upper_edge(tmp_path):
     assert res.returncode == 0, res.stderr
     header, columns, rows = read_table(out)
     assert columns == ["alpha", "lambda", "tau", "tpp_inf", "fdp_inf"]
-    assert header["prior"]["values"] == [1.0]
+    assert header["prior"] == {"atoms": [[1.0, 0.2]], "null_mass": 0.8}
     assert len(rows) == 5
     tpps = [float(r[3]) for r in rows]
     fdps = [float(r[4]) for r in rows]
@@ -396,6 +396,14 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
     iid_equicorrelation = {**sim["design"], "structure": "equicorrelation"}
     linear = rank["coefficients"]
     homogeneous = '{"kind": "homogeneous", "epsilon": 0.2, "magnitude": 1}'
+    malformed_priors = (
+        {"kind": "homogeneous", "epsilon": 0.2, "magnitude": True},
+        {"kind": "homogeneous", "epsilon": 0.2, "magnitude": "3"},
+        {"kind": "heterogeneous", "epsilon": 0.2, "m": True, "base": 2.0},
+        {"kind": "levels", "epsilon": 0.2, "values": "12"},
+        {"kind": "levels", "epsilon": 0.2, "values": [1.0, 2.0], "weights": [True, 1]},
+        {"kind": "levels", "epsilon": 0.2, "values": [1.0], "weight": [1.0]},
+    )
     (tmp_path / "list.json").write_text("[1, 2]")
     monkeypatch.setenv("LASSOCRESCENT_OUTDIR", str(tmp_path))
     for argv in (
@@ -466,9 +474,21 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
         # fields the mode ignores
         ["rank", "--config", json.dumps({**rank, "sweep_param": "", "sweep_values": [5, 9]})],
         ["rank", "--config", json.dumps({**rank, "tpp_grid": [0.5]})],
+        # a prior object is read as a config is, given alone or inside a config
+        *(
+            ["curve", "--delta", "1", "--epsilon", "0.2", "--prior", json.dumps(prior)]
+            for prior in malformed_priors
+        ),
+        *(
+            ["simulate", "--config", json.dumps({**sim, "coefficients": coefficients})]
+            for coefficients in ({"kind": "prior_sample", "prior": p} for p in malformed_priors)
+        ),
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+    # the error names the flag and its value
+    assert main(["path", "--config", json.dumps(sim), "--replicate", "-1"]) == 2
+    assert "--replicate must be a nonnegative integer, got -1" in capsys.readouterr().err
     # coefficients.p against the columns of a genotype file
     fpath = tmp_path / "geno.csv"
     np.savetxt(fpath, np.random.default_rng(8).integers(0, 3, size=(40, 7)), delimiter=",")

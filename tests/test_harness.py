@@ -591,6 +591,19 @@ def test_config_json_round_trip_exact():
     )
     assert config_from_json(config_to_json(fixed)) == fixed
 
+    # a prior reads back exactly as written, through JSON text: 1 to 5 atoms
+    # with random values and Dirichlet weights, as in acceptance criterion 9
+    rng = np.random.default_rng(2020)
+    for _ in range(1000):
+        n_atoms = int(rng.integers(1, 6))
+        values = rng.uniform(0.1, 100.0, n_atoms) * rng.choice([-1.0, 1.0], n_atoms)
+        weights = rng.dirichlet(np.ones(n_atoms))
+        prior = DiscretePrior.from_levels(rng.uniform(0.01, 0.99), values, weights)
+        sampled = dataclasses.replace(
+            config, coefficients=dataclasses.replace(config.coefficients, prior=prior)
+        )
+        assert config_from_json(json.dumps(config_to_json(sampled))) == sampled
+
     # JSON -> config -> JSON on the config echoed in each simulation golden's
     # header, compared as text so that an int and a float differ
     golden = Path(__file__).with_name("golden")
@@ -759,9 +772,59 @@ def test_prior_from_json_kinds_and_errors():
     assert sorted(het.values.tolist()) == [10.0, 100.0, 1000.0]
     lv = prior_from_json({"kind": "levels", "epsilon": 0.2, "values": [1.0, 2.0]})
     assert len(lv.atoms) == 2
-    with pytest.raises(ValueError, match="kind"):
+    # without a kind, an object holds DiscretePrior's own fields
+    with pytest.raises(ValueError, match=r"unknown prior fields: \['epsilon'\]"):
         prior_from_json({"epsilon": 0.2})
     with pytest.raises(ValueError, match="unknown prior kind"):
         prior_from_json({"kind": "gaussian", "epsilon": 0.2})
     with pytest.raises(ValueError, match="missing field"):
         prior_from_json({"kind": "homogeneous", "epsilon": 0.2})
+    # a recipe's fields are its constructor's parameters, read as config fields are
+    assert prior_from_json(
+        {"kind": "heterogeneous", "epsilon": 0.2, "m": 3.0, "base": 10}
+    ) == DiscretePrior.heterogeneous(0.2, 3, 10.0)
+    for bad in _MALFORMED_PRIORS:
+        with pytest.raises(ValueError, match=r"prior(\.| fields)"):
+            prior_from_json(bad)
+    # a missing epsilon takes the one given, a given one stays
+    assert prior_from_json({"kind": "homogeneous", "magnitude": 3.0}, epsilon=0.25) == hom
+    assert prior_from_json(
+        {"kind": "homogeneous", "epsilon": 0.25, "magnitude": 3.0}, epsilon=0.5
+    ) == hom
+    # DiscretePrior's own fields, as config_to_json writes them
+    assert config_to_json(het) == {
+        "atoms": [(10.0, 0.2 / 3), (100.0, 0.2 / 3), (1000.0, 0.2 / 3)],
+        "null_mass": 0.8,
+    }
+    assert prior_from_json(json.loads(json.dumps(config_to_json(lv)))) == lv
+    for bad, message in (
+        ({"atoms": [[1.0, 0.2]]}, "missing field 'null_mass'"),
+        ({"atoms": [[1.0, 0.2, 0.1]], "null_mass": 0.8}, "expected a list of 2"),
+        ({"atoms": [[True, 0.2]], "null_mass": 0.8}, "expected a number"),
+        ({"atoms": [[1.0, 0.2]], "null_mass": "0.8"}, "expected a number"),
+        ({"atoms": [[1.0, 0.2]], "null_mass": 0.8, "kinds": "levels"}, "unknown prior fields"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            prior_from_json(bad)
+
+
+# one malformed field each, which a JSON config refuses too
+_MALFORMED_PRIORS = (
+    {"kind": "homogeneous", "epsilon": 0.2, "magnitude": True},
+    {"kind": "homogeneous", "epsilon": 0.2, "magnitude": "3"},
+    {"kind": "heterogeneous", "epsilon": 0.2, "m": True, "base": 2.0},
+    {"kind": "levels", "epsilon": 0.2, "values": "12"},
+    {"kind": "levels", "epsilon": 0.2, "values": [1.0, 2.0], "weights": [True, 1]},
+    {"kind": "levels", "epsilon": 0.2, "values": [1.0], "weight": [1.0]},
+)
+
+
+def test_malformed_prior_in_a_config_is_refused():
+    base = {
+        "design": {"kind": "iid_gaussian", "n": 20, "p": 20},
+        "coefficients": {"kind": "prior_sample"},
+        "tpp_grid": [0.5],
+    }
+    for bad in _MALFORMED_PRIORS:
+        with pytest.raises(ValueError, match="coefficients.prior: "):
+            config_from_json({**base, "coefficients": {"kind": "prior_sample", "prior": bad}})
