@@ -99,7 +99,8 @@ def t_delta(u, shape):
     if vals[0] < 0.0:
         # past t = 60, Phi(-t) and mse_null(t) are 0 in double, so G(t) =
         # u eps (1 + t^2) - delta, whose root is above 60 exactly when G(60) < 0
-        ratio = shape.delta / (u * shape.epsilon)
+        ue = u * shape.epsilon  # 0 for a subnormal u
+        ratio = shape.delta / ue if ue > 0.0 else math.inf
         if not math.isfinite(ratio):
             raise DivergingRootError(
                 f"lower-edge root sqrt(delta/(u eps) - 1) overflows at u = {u} for {shape}"
@@ -159,19 +160,20 @@ def varsigma(alpha, shape):
     eps = shape.epsilon
     mn = mse_null(alpha)
     target = (shape.delta - (1.0 - eps) * mn) / eps
-    if target <= mn:
+
+    def f(m):
+        return mse_signal(m, alpha) - target
+
+    # f(0) is mn - target up to rounding, and brentq needs f(0) < 0
+    if target <= mn or f(0.0) >= 0.0:
         raise InfeasibleRegionError(
             f"alpha = {alpha} at or below alpha_min for {shape}"
         )
-    cap = 1.0 + alpha**2
-    if target >= cap:
+    if target >= 1.0 + alpha * alpha:  # float ** would raise OverflowError
         raise InfeasibleRegionError(
             f"alpha = {alpha} at or below the noiseless floor "
             f"{noiseless_alpha_floor(shape):.6f} for {shape}"
         )
-
-    def f(m):
-        return mse_signal(m, alpha) - target
 
     walk = _bracket_walk(alpha + 5.0, lambda m: 2.0 * m, lambda m: f(m) <= 0.0, tries=61)
     if walk is None:

@@ -103,12 +103,14 @@ def _mse_signal(t, alpha):
     t2 = np.square(t)
     outer = _cdf(t - alpha) + _cdf(-t - alpha)
     tail = _cdf(alpha - t) - _cdf(-alpha - t)
+    below, above = _pdf(alpha - t), _pdf(alpha + t)
     val = (
-        # where a tail is 0 its term is 0, even once alpha^2 or t^2 overflows to inf
+        # where a tail or density is 0 its term is 0, even once alpha^2, t^2
+        # or t itself overflows to inf
         np.where(outer == 0.0, 0.0, 1.0 + a2) * outer
         + np.where(tail == 0.0, 0.0, t2) * tail
-        - (alpha + t) * _pdf(alpha - t)
-        - (alpha - t) * _pdf(alpha + t)
+        - np.where(below == 0.0, 0.0, alpha + t) * below
+        - np.where(above == 0.0, 0.0, alpha - t) * above
     )
     # guard against a sub-ulp negative from cancellation at extreme alpha
     return np.maximum(val, 0.0)

@@ -57,10 +57,16 @@ _THETA_MAX = 1e18
 
 
 def brentq(f, a, b, **kwargs):
-    """``scipy.optimize.brentq``, imported on first use (see the module docstring)."""
+    """``scipy.optimize.brentq``, imported on first use (see the module
+    docstring), with its failure to converge raised as ``ConvergenceError``."""
     from scipy.optimize import brentq
 
-    return brentq(f, a, b, **kwargs)
+    try:
+        return brentq(f, a, b, **kwargs)
+    except (InfeasibleRegionError, ConvergenceError):  # raised by f
+        raise
+    except RuntimeError as exc:  # "Failed to converge after 100 iterations."
+        raise ConvergenceError(f"brentq on [{a}, {b}]: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -289,7 +295,9 @@ def _tau_residual(theta, prior, alpha, shape):
     mse = prior.null_mass * mse_null(alpha) + float(
         np.sum(prior.probs * mse_signal(prior.values * theta, alpha))
     )
-    st = shape.sigma * theta  # float ** raises OverflowError where * gives inf
+    # float ** raises OverflowError where * gives inf; theta = inf (from a
+    # subnormal tau) would make 0 * inf = nan at sigma = 0
+    st = shape.sigma * theta if shape.sigma else 0.0
     return st * st + mse / shape.delta - 1.0
 
 
@@ -372,6 +380,8 @@ def equation_residuals(prior, point):
     alpha = _check_alpha(point.alpha)
     if not (math.isfinite(point.tau) and point.tau > 0.0):
         raise ValueError(f"tau must be positive and finite, got {point.tau!r}")
+    if not math.isfinite(point.lam):
+        raise ValueError(f"lam must be finite, got {point.lam!r}")
     r1 = _tau_residual(1.0 / point.tau, prior, alpha, point.shape)
     lam = _lambda_given_tau(prior, alpha, point.shape, point.tau)
     r2 = (point.lam - lam) / max(1.0, abs(lam))

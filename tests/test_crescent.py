@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lassocrescent import (
+    ConvergenceError,
     DiscretePrior,
     DivergingRootError,
     InfeasibleRegionError,
@@ -202,6 +203,21 @@ def test_crescent_validation():
         crescent(SHAPE, n_points=0)
     with pytest.raises(ValueError):
         crescent(ModelShape(delta=1.0, epsilon=0.2, sigma=0.5), n_points=9)
+
+
+def test_extreme_inputs_raise_solver_errors():
+    # cases the error-taxonomy stress test found; each raised another error type
+    with np.errstate(over="ignore", under="ignore"):
+        # alpha**2 overflowed: OverflowError; brentq's own non-convergence: RuntimeError
+        for alpha, shape in ((1e200, SHAPE), (2.3755269386315396e61, ModelShape(1.0, 0.0180544))):
+            with pytest.raises(ConvergenceError):
+                varsigma(alpha, shape)
+        # u far above the upper edge's reach: f(0) >= 0 by rounding made brentq's
+        # sign check fail with ValueError
+        with pytest.raises(InfeasibleRegionError):
+            t_nabla(0.5, ModelShape(delta=1e-3, epsilon=0.5))
+    # u * eps underflowed to 0: ZeroDivisionError
+    assert q_delta(5e-324, ModelShape(delta=3.4, epsilon=0.056)) == 0.0
 
 
 # --- touching levels ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Calibration fixed point, feasibility limits, and trade-off curves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,13 +16,23 @@ from lassocrescent import (
     StateEvolutionPoint,
     admissible_alpha_lower,
     alpha_min,
+    crescent,
     equation_residuals,
+    excess_prob,
     lambda_of_alpha,
     mse_null,
+    mse_signal,
     noiseless_alpha_floor,
+    normal_cdf,
+    normal_pdf,
+    q_delta,
+    q_nabla,
+    soft_threshold,
     solve_alpha_given_lambda,
     solve_tau_given_alpha,
+    t_delta,
     t_nabla,
+    touching_points,
     tradeoff_at_tpp,
     tradeoff_curve,
     tradeoff_point,
@@ -224,6 +235,8 @@ def test_equation_residuals_checks_point():
             equation_residuals(PRIOR1, StateEvolutionPoint(alpha, 0.7, 0.3, SHAPE))
     with pytest.raises(ValueError):
         equation_residuals(PRIOR1, StateEvolutionPoint(2.5, math.nan, 0.3, SHAPE))
+    with pytest.raises(ValueError, match="lam"):  # a nan residual at the parent
+        equation_residuals(PRIOR1, StateEvolutionPoint(2.5, 0.7, math.nan, SHAPE))
 
 
 def test_equation_residuals_rejects_nonpositive_tau():
@@ -238,6 +251,16 @@ def test_equation_residuals_overflow_to_inf():
     point = StateEvolutionPoint(2.5, 1.0, 0.3, ModelShape(delta=1.0, epsilon=0.2, sigma=1e200))
     r1, _ = equation_residuals(PRIOR1, point)
     assert r1 == math.inf
+
+
+def test_equation_residuals_where_theta_overflows():
+    # theta * atom = inf, or theta = 1/tau = inf at sigma = 0, made nan residuals:
+    # the risk of an atom at +-inf is its limit 1 + alpha^2
+    expected = 0.8 * mse_null(1.0) + 0.2 * 2.0 - 1.0
+    for prior, tau in ((DiscretePrior.homogeneous(0.2, -1e300), 1e-100), (PRIOR1, 5e-324)):
+        with np.errstate(over="ignore"):
+            r1, _ = equation_residuals(prior, StateEvolutionPoint(1.0, tau, 0.3, SHAPE))
+        assert r1 == pytest.approx(expected, rel=1e-15)
 
 
 def test_integer_alpha_matches_float():
@@ -395,3 +418,129 @@ def test_tradeoff_curve_truncates_above_phase_transition():
 def test_tradeoff_curve_needs_two_points():
     with pytest.raises(ValueError):
         tradeoff_curve(PRIOR1, SHAPE, 1)
+
+
+# --- error taxonomy under stress ------------------------------------------------
+
+
+def _log_uniform(lo, hi):
+    """10**e for e uniform in [lo, hi]: magnitudes spread over many decades."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+_EDGES = st.sampled_from([0.0, 1.0, math.nan, math.inf, -math.inf])
+_LEVELS = _EDGES | st.floats(0.0, 1.0)  # TPP or u
+_POINTS = _EDGES | st.floats(-10.0, 10.0) | _log_uniform(-300, 300)  # x, t
+_THRESHOLDS = _EDGES | st.floats(-1.0, 10.0) | _log_uniform(-300, 3)  # alpha, lambda
+_SIGMAS = st.sampled_from([0.0, 5e-324, 1e200]) | _log_uniform(-323, 200)
+_TAUS = _THRESHOLDS | st.sampled_from([5e-324, 1e-310])  # 1/tau overflows
+# delta over 1e-300..1e300, moderate shapes, and delta/eps > 3600
+_DELTAS = _log_uniform(-300, 300) | st.floats(0.2, 5.0)
+_EPSILONS = _log_uniform(-6, -0.01) | st.floats(0.05, 0.5)
+
+
+def _numbers(out):
+    """Every number in a return value: scalars, arrays, tuples, dataclasses."""
+    if dataclasses.is_dataclass(out):
+        out = dataclasses.astuple(out)
+    if isinstance(out, (tuple, list)):
+        return [x for item in out for x in _numbers(item)]
+    return np.ravel(np.asarray(out, dtype=float)).tolist()
+
+
+def _crescent_numbers(shape):
+    # t_delta is +inf, with q_delta = 0, only where delta / (u eps) overflows
+    points = crescent(shape, 3)
+    assert all(p.q_delta == 0.0 for p in points if p.t_delta == math.inf)
+    return [(p.u, p.q_delta, p.varsigma, p.t_nabla, p.q_nabla) for p in points]
+
+
+def _theory_calls(draw):
+    """{name: (call, valid)} for each public theory-half function on drawn
+    inputs; ``valid`` says whether the inputs lie in the function's domain."""
+    delta, epsilon = draw(_DELTAS), draw(_EPSILONS)
+    shape = ModelShape(delta=delta, epsilon=epsilon, sigma=draw(_SIGMAS))
+    noiseless = ModelShape(delta=delta, epsilon=epsilon)
+    atoms = draw(st.lists(_log_uniform(-300, 300), min_size=1, max_size=3, unique=True))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3))
+    prior = DiscretePrior.from_levels(epsilon, [a * s for a, s in zip(atoms, signs)])
+    x, a, tau, level = draw(_POINTS), draw(_THRESHOLDS), draw(_TAUS), draw(_LEVELS)
+    near_floor, gap = draw(st.booleans()), draw(_log_uniform(-12, 1))
+    rungs = draw(st.integers(1, 4))
+    real, threshold = math.isfinite(x), math.isfinite(a) and a >= 0.0
+    floored = near_floor or threshold
+
+    def alpha(on):  # the drawn threshold, or one just above the admissible floor
+        return admissible_alpha_lower(prior, on) + gap if near_floor else a
+
+    point = StateEvolutionPoint(alpha=a, tau=tau, lam=x, shape=shape)
+    return {
+        "normal_pdf": (lambda: normal_pdf(x), real),
+        "normal_cdf": (lambda: normal_cdf(x), real),
+        "soft_threshold": (lambda: soft_threshold(x, a), real and threshold),
+        "excess_prob": (lambda: excess_prob(x, a), real and threshold),
+        "mse_null": (lambda: mse_null(a), threshold),
+        "mse_signal": (lambda: mse_signal(x, a), real and threshold),
+        "alpha_min": (lambda: alpha_min(shape), True),
+        "noiseless_alpha_floor": (lambda: noiseless_alpha_floor(shape), True),
+        "admissible_alpha_lower": (lambda: admissible_alpha_lower(prior, shape), True),
+        "solve_tau_given_alpha": (
+            lambda: solve_tau_given_alpha(prior, alpha(shape), shape), floored
+        ),
+        "lambda_of_alpha": (lambda: lambda_of_alpha(prior, alpha(shape), shape), floored),
+        "tradeoff_point": (lambda: tradeoff_point(prior, alpha(shape), shape), floored),
+        # far off the solution the first residual overflows to +inf
+        "equation_residuals": (
+            lambda: [r for r in equation_residuals(prior, point) if r != math.inf],
+            real and threshold and math.isfinite(tau) and tau > 0.0,
+        ),
+        "solve_alpha_given_lambda": (
+            lambda: solve_alpha_given_lambda(prior, a, shape), threshold and a > 0.0
+        ),
+        "tradeoff_at_tpp": (lambda: tradeoff_at_tpp(prior, shape, level), math.isfinite(level)),
+        "tradeoff_curve": (lambda: tradeoff_curve(prior, shape, 2), True),
+        "t_delta": (lambda: t_delta(level, noiseless), 0.0 < level <= 1.0),
+        "q_delta": (lambda: q_delta(level, noiseless), 0.0 <= level <= 1.0),
+        "varsigma": (lambda: varsigma(alpha(noiseless), noiseless), floored),
+        "t_nabla": (lambda: t_nabla(level, noiseless), 0.0 < level <= 1.0),
+        "q_nabla": (lambda: q_nabla(level, noiseless), 0.0 < level <= 1.0),
+        "crescent": (lambda: _crescent_numbers(noiseless), True),
+        "touching_points": (lambda: touching_points([1.0 / rungs] * rungs, noiseless), True),
+    }
+
+
+# calls of up to tens of milliseconds: each example runs one of them on
+# inputs in its domain, and all of them on inputs outside
+_SLOW_CALLS = (
+    "crescent",
+    "q_nabla",
+    "solve_alpha_given_lambda",
+    "t_nabla",
+    "touching_points",
+    "tradeoff_at_tpp",
+    "tradeoff_curve",
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_theory_calls_keep_the_error_taxonomy(data):
+    # far-out shapes, atoms, thresholds and levels: a call in its domain returns
+    # finite numbers or raises one of the solver errors; one outside raises
+    # ValueError.  Intermediate overflow and underflow are expected here.
+    calls = _theory_calls(data.draw)
+    slow = data.draw(st.sampled_from(_SLOW_CALLS))
+    for name, (call, valid) in calls.items():
+        if valid and name in _SLOW_CALLS and name != slow:
+            continue
+        try:
+            with np.errstate(over="ignore", under="ignore"):
+                out = call()
+        except ValueError:
+            assert not valid, name
+            continue
+        except (InfeasibleRegionError, ConvergenceError):  # DivergingRootError included
+            assert valid, name
+            continue
+        assert valid, name
+        assert all(map(math.isfinite, _numbers(out))), (name, out)
