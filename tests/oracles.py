@@ -8,7 +8,8 @@ thresholds by dense descending grid scans (largest-root semantics) plus
 Brent refinement, Lasso solutions by coordinate descent with a
 duality-gap certificate, and correlated designs by factoring the full
 p x p covariance.  The path solver's level pass is checked against its
-earlier two-array form (one array per sign of the entry root).
+earlier two-array form (one array per sign of the entry root), and its
+solutions against the fixed point of approximate message passing.
 """
 
 import math
@@ -294,6 +295,27 @@ def cd_lasso(X, y, lam, beta0=None, tol=1e-12, max_sweeps=200000):
             if primal - dual <= tol * max(1.0, primal):
                 return beta
     raise RuntimeError("coordinate descent did not converge")
+
+
+def amp_lasso(X, y, theta, max_iter=2000):
+    """AMP with the fixed threshold ``theta`` (Donoho, Maleki & Montanari 2009),
+    run to its fixed point; returns (x, lam).
+
+    x <- soft(x + X'z, theta), then z <- y - X x + z ||x||_0 / n.  At a fixed
+    point X'z is theta sign(x) on the support of x and at most theta in size
+    off it, and (1 - ||x||_0 / n) z = y - X x, so X'(y - X x) is lam times a
+    subgradient of ||x||_1: x is the Lasso solution at
+    lam = theta (1 - ||x||_0 / n) (Bayati & Montanari 2012).
+    """
+    n = X.shape[0]
+    x, z = np.zeros(X.shape[1]), y.copy()
+    for _ in range(max_iter):
+        x_new = soft(x + X.T @ z, theta)
+        z = y - X @ x_new + z * (np.count_nonzero(x_new) / n)
+        x, step = x_new, np.max(np.abs(x_new - x))
+        if step <= 1e-15 * max(1.0, np.max(np.abs(x))):
+            return x, theta * (1.0 - np.count_nonzero(x) / n)
+    raise RuntimeError(f"AMP did not converge in {max_iter} iterations at theta = {theta}")
 
 
 def cholesky_design(spec, rng):
