@@ -536,11 +536,10 @@ _PRIOR_RECIPES = {
 
 
 def prior_from_json(obj, **defaults):
-    """DiscretePrior from its JSON object: its own fields (``atoms`` as
-    [value, probability] pairs, ``null_mass``), as ``config_to_json`` writes
-    it, or a recipe {"kind": "homogeneous"|"heterogeneous"|"levels", ...} whose
-    other fields are the parameters of that constructor, ``defaults`` filling
-    in missing ones."""
+    """DiscretePrior from its JSON object: its own fields (``atoms`` as [value,
+    probability] pairs, ``null_mass``), as ``config_to_json`` writes it, or a
+    recipe {"kind": "homogeneous"|"heterogeneous"|"levels", ...} whose other
+    fields are that constructor's parameters, missing ones taken from ``defaults``."""
     if not (isinstance(obj, dict) and "kind" in obj):
         return DiscretePrior(**fields_from_json(DiscretePrior, obj, "prior"))
     kind, fields = obj["kind"], {k: v for k, v in obj.items() if k != "kind"}
@@ -567,11 +566,10 @@ _COERCE = {
 def fields_from_json(cls, obj, name, **defaults):
     """Keyword arguments for ``cls`` read from the JSON object ``obj``.
 
-    The parameters of ``cls`` (a dataclass's fields, or a function's
-    parameters) are the JSON schema.  A given value is coerced by its
-    annotation through ``_COERCE`` (other types pass as given); a missing one
-    takes its entry in ``defaults``, else its "json_default" metadata, else
-    its default.  ``name`` labels errors.
+    The parameters of ``cls`` (a dataclass's fields, or a function's) are the
+    JSON schema.  A given value is coerced by its annotation through ``_COERCE``
+    (other types pass as given); a missing one takes its entry in ``defaults``,
+    else its "json_default" metadata, else its default.  ``name`` labels errors.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(obj).__name__}")
