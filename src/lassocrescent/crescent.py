@@ -164,8 +164,8 @@ def varsigma(alpha, shape):
     def f(m):
         return mse_signal(m, alpha) - target
 
-    # f(0) is mn - target up to rounding, and brentq needs f(0) < 0
-    if target <= mn or f(0.0) >= 0.0:
+    # f(0) = mse_null(alpha) - target, evaluated as brentq below will see it
+    if f(0.0) >= 0.0:
         raise InfeasibleRegionError(
             f"alpha = {alpha} at or below alpha_min for {shape}"
         )
