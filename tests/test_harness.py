@@ -783,9 +783,20 @@ def test_prior_from_json_kinds_and_errors():
     assert prior_from_json(
         {"kind": "heterogeneous", "epsilon": 0.2, "m": 3.0, "base": 10}
     ) == DiscretePrior.heterogeneous(0.2, 3, 10.0)
-    for bad in _MALFORMED_PRIORS:
+    # one malformed field each, refused alone and inside a config
+    config = {"design": {"kind": "iid_gaussian", "n": 20, "p": 20}, "tpp_grid": [0.5]}
+    for bad in (
+        {"kind": "homogeneous", "epsilon": 0.2, "magnitude": True},
+        {"kind": "homogeneous", "epsilon": 0.2, "magnitude": "3"},
+        {"kind": "heterogeneous", "epsilon": 0.2, "m": True, "base": 2.0},
+        {"kind": "levels", "epsilon": 0.2, "values": "12"},
+        {"kind": "levels", "epsilon": 0.2, "values": [1.0, 2.0], "weights": [True, 1]},
+        {"kind": "levels", "epsilon": 0.2, "values": [1.0], "weight": [1.0]},
+    ):
         with pytest.raises(ValueError, match=r"prior(\.| fields)"):
             prior_from_json(bad)
+        with pytest.raises(ValueError, match="coefficients.prior: "):
+            config_from_json({**config, "coefficients": {"kind": "prior_sample", "prior": bad}})
     # a missing epsilon takes the one given, a given one stays
     assert prior_from_json({"kind": "homogeneous", "magnitude": 3.0}, epsilon=0.25) == hom
     assert prior_from_json(
@@ -806,25 +817,3 @@ def test_prior_from_json_kinds_and_errors():
     ):
         with pytest.raises(ValueError, match=message):
             prior_from_json(bad)
-
-
-# one malformed field each, which a JSON config refuses too
-_MALFORMED_PRIORS = (
-    {"kind": "homogeneous", "epsilon": 0.2, "magnitude": True},
-    {"kind": "homogeneous", "epsilon": 0.2, "magnitude": "3"},
-    {"kind": "heterogeneous", "epsilon": 0.2, "m": True, "base": 2.0},
-    {"kind": "levels", "epsilon": 0.2, "values": "12"},
-    {"kind": "levels", "epsilon": 0.2, "values": [1.0, 2.0], "weights": [True, 1]},
-    {"kind": "levels", "epsilon": 0.2, "values": [1.0], "weight": [1.0]},
-)
-
-
-def test_malformed_prior_in_a_config_is_refused():
-    base = {
-        "design": {"kind": "iid_gaussian", "n": 20, "p": 20},
-        "coefficients": {"kind": "prior_sample"},
-        "tpp_grid": [0.5],
-    }
-    for bad in _MALFORMED_PRIORS:
-        with pytest.raises(ValueError, match="coefficients.prior: "):
-            config_from_json({**base, "coefficients": {"kind": "prior_sample", "prior": bad}})
