@@ -15,9 +15,11 @@ working directory through a relative ``--out``, so the script names no
 machine-specific directory.  To rewrite them after a deliberate change of the
 numbers, run ``python tests/test_golden.py [NAME ...]`` (with the package
 importable) and state the change: it rewrites the named cases, such as
-``path_drops.csv``, and with no name every case.
+``path_drops.csv``, and with no name every case, and prints for each numeric
+column of each rewritten CSV its largest absolute and relative change.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -25,6 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lassocrescent
@@ -152,6 +155,33 @@ def run_gnuplot_case(name, outdir):
     }
 
 
+def numeric_columns(body):
+    """The numeric columns of a CSV file's table, by name, as float arrays."""
+    rows = csv.reader(line for line in body.decode().splitlines() if not line.startswith("#"))
+    columns = {}
+    for name, *values in zip(*rows):
+        try:
+            columns[name] = np.array(values, dtype=float)
+        except ValueError:
+            pass
+    return columns
+
+
+def print_changes(name, before, after):
+    """Largest absolute and relative change of each numeric column of CSV
+    ``name`` from the bytes ``before`` to ``after``."""
+    old, new = numeric_columns(before), numeric_columns(after)
+    for col, b in new.items():
+        a = old.get(col)
+        if a is None or a.shape != b.shape:
+            print(f"  {name} {col}: no column of the same length before")
+            continue
+        with np.errstate(invalid="ignore", divide="ignore"):
+            change = np.where(a == b, 0.0, np.abs(b - a))
+            rel = np.where(change == 0.0, 0.0, change / np.abs(a))
+        print(f"  {name} {col}: max abs change {change.max():.3g}, max rel change {rel.max():.3g}")
+
+
 @pytest.mark.parametrize(
     "name, jobs", [(name, jobs) for name, (_, counts) in CASES.items() for jobs in counts]
 )
@@ -172,10 +202,14 @@ if __name__ == "__main__":
         sys.exit(f"unknown golden case(s) {', '.join(unknown)}; known: {', '.join(CASES)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in names:
+        before = outputs(GOLDEN_DIR, name)
         outs = [run_case(name, jobs, GOLDEN_DIR) for jobs in CASES[name][1]]
         if any(out != outs[0] for out in outs):
             sys.exit(f"{name}: output depends on the worker count")
-        print(*(GOLDEN_DIR / f for f in outs[0]), sep="\n")
+        for f, body in outs[0].items():
+            print(GOLDEN_DIR / f)
+            if f in before:
+                print_changes(f, before[f], body)
     os.makedirs(GNUPLOT_DIR, exist_ok=True)
     for name in (n for n in GNUPLOT_CASES if n in names):
         with tempfile.TemporaryDirectory() as scratch:
