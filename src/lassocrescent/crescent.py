@@ -307,13 +307,14 @@ def touching_points(gamma, shape):
     ``gamma`` is the mass split over the ladder rungs (positive, summing to
     one).  In the limit of unbounded separation between rungs the curve
     touches the lower edge once per proper suffix mass g of gamma, at the
-    fixed point of
+    root of
 
-        u  <-  2 Phi(-t_delta(u)) (1 - g) + g,
+        h(u) = u - 2 Phi(-t_delta(u)) (1 - g) - g,
 
-    solved here by damped iteration (damping 1/2, at most 200 steps).  The
-    full-mass suffix g = 1 gives u = 1 exactly, where the crescent closes.
-    Returns [(u_1, q_delta(u_1)), ...] sorted by increasing u; the first
+    solved by one ``brentq`` on [g, 1]: h(g) = -2 Phi(-t_delta(g)) (1 - g)
+    <= 0 and h(1) = (1 - g)(1 - 2 Phi(-t_delta(1))) >= 0.  The full-mass
+    suffix g = 1 gives u = 1 exactly, where the crescent closes.  Returns
+    [(u_1, q_delta(u_1)), ...] sorted by increasing u; the first
     len(gamma) - 1 entries are interior touching levels.
     """
     gamma = [float(g) for g in gamma]
@@ -323,28 +324,16 @@ def touching_points(gamma, shape):
         raise ValueError(f"gamma sums to {sum(gamma)}, expected 1")
     suffix = np.cumsum(gamma[::-1])[::-1]  # suffix[i] = gamma_i + ... + gamma_m
 
-    def tail(u):
-        return normal_cdf(-_t_delta_or_inf(u, shape))
+    def h(u, g):
+        return u - 2.0 * normal_cdf(-_t_delta_or_inf(u, shape)) * (1.0 - g) - g
 
     points = []
     for g in suffix:
         if g >= 1.0 - 1e-15:
             u = 1.0
         else:
-            u = 0.5 * (1.0 + g)
-            converged = False
-            for _ in range(200):
-                nxt = 0.5 * u + 0.5 * (2.0 * tail(u) * (1.0 - g) + g)
-                if abs(nxt - u) < 1e-13:
-                    u = nxt
-                    converged = True
-                    break
-                u = nxt
-            if not converged:
-                raise ConvergenceError(
-                    f"touching-point iteration stalled at u = {u} for suffix mass {g}"
-                )
-            resid = u - (2.0 * tail(u) * (1.0 - g) + g)
+            u = brentq(h, g, 1.0, args=(g,), xtol=1e-13, rtol=8.9e-16)
+            resid = h(u, g)
             if abs(resid) > _EQ_TOL:
                 raise ConvergenceError(
                     f"touching-point residual {resid:.2e} at suffix mass {g}"

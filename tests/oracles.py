@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's own closed forms and
 solvers: Gaussian moments of the soft threshold are computed by quadrature
 (piecewise Gauss-Legendre on a fixed rule, or scipy adaptive quad), the
 effective-noise calibration by damped fixed-point iteration, boundary
-thresholds by dense descending grid scans (largest-root semantics) plus
-Brent refinement, Lasso solutions by coordinate descent with a
+thresholds by descending grid scans (largest-root semantics) plus Brent
+refinement or bisection, Lasso solutions by coordinate descent with a
 duality-gap certificate, and correlated designs by factoring the full
-p x p covariance.  The path solver's level pass is checked against its
-earlier two-array form (one array per sign of the entry root), and its
-solutions against the fixed point of approximate message passing.
+p x p covariance.  Two solvers are checked against the form they replaced,
+on the same inputs: the path solver's level pass against its earlier
+two-array form (one array per sign of the entry root), and the touching
+levels against the damped fixed-point iteration over the library's t_delta.
+The path solver's solutions are also checked against the fixed point of
+approximate message passing.
 """
 
 import math
@@ -18,7 +21,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cholesky, toeplitz
 from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
+
+from lassocrescent.crescent import _t_delta_or_inf, q_delta
+from lassocrescent.gauss import _cdf
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -204,6 +211,34 @@ def t_delta_scan(u, delta, eps, step=1e-4, t_max=60.0):
     return brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
 
 
+def t_delta_grid(us, delta, eps, step=0.05, t_max=60.0, iters=48):
+    """Largest lower-edge root at each level of the array us, vectorized.
+
+    A descending scan of G(t) = N(t)(1 - 2 Phi(-t)) - (1 - u) D(t) for its
+    first negative value, then bisection of that step; when G(t_max) < 0 the
+    root is sqrt(delta/(u eps) - 1), and with no negative value it is NaN.
+    """
+    us = np.asarray(us, dtype=float)[:, None]
+
+    def gap(t):
+        tail = ndtr(-t)
+        one_plus = 1.0 + t * t
+        mn = 2.0 * (one_plus * tail - t * _INV_SQRT_2PI * np.exp(-0.5 * t * t))
+        n_term = (1.0 - eps) * mn + eps * one_plus - delta
+        return n_term * (1.0 - 2.0 * tail) - (1.0 - us) * eps * (one_plus - mn)
+
+    t = np.arange(t_max, step / 2.0, -step)
+    neg = gap(t[None, :]) < 0.0
+    k = np.argmax(neg, axis=1)
+    lo, hi = t[k][:, None], t[np.maximum(k - 1, 0)][:, None]
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        above = gap(mid) > 0.0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    root = np.where(neg[:, 0], np.sqrt(delta / (us[:, 0] * eps) - 1.0), 0.5 * (lo + hi)[:, 0])
+    return np.where(neg.any(axis=1), root, np.nan)
+
+
 def q_form(t, u, eps):
     """FDP at TPP level u for edge threshold t."""
     a = 2.0 * (1.0 - eps) * norm.cdf(-t)
@@ -265,6 +300,34 @@ def t_nabla_scan(u, delta, eps, step=0.01, a_max=12.0, recheck_every=25):
             return root, vs_local(root, prev)
         last_val, last_a = val, a
     raise RuntimeError("no root in upper-edge scan")
+
+
+def touching_points_iteration(gamma, shape):
+    """``touching_points`` as it was before it solved one bracketed root per
+    suffix mass g: each interior level by damped fixed-point iteration of
+    u <- 2 Phi(-t_delta(u)) (1 - g) + g (damping 1/2, at most 200 steps),
+    with the library's t_delta.  gamma is taken as valid."""
+    suffix = np.cumsum(gamma[::-1])[::-1]
+
+    def tail(u):
+        return _cdf(-_t_delta_or_inf(u, shape))
+
+    points = []
+    for g in suffix:
+        if g >= 1.0 - 1e-15:
+            u = 1.0
+        else:
+            u = 0.5 * (1.0 + g)
+            for _ in range(200):
+                nxt = 0.5 * u + 0.5 * (2.0 * tail(u) * (1.0 - g) + g)
+                if abs(nxt - u) < 1e-13:
+                    u = nxt
+                    break
+                u = nxt
+            else:
+                raise RuntimeError(f"touching-point iteration stalled at u = {u} for suffix mass {g}")
+        points.append((float(u), q_delta(u, shape)))
+    return sorted(points)
 
 
 def cd_lasso(X, y, lam, beta0=None, tol=1e-12, max_sweeps=200000):

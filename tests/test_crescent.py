@@ -26,7 +26,14 @@ from lassocrescent import (
     varsigma,
 )
 
-from oracles import q_form, t_delta_scan, t_nabla_scan, varsigma_scan
+from oracles import (
+    q_form,
+    t_delta_grid,
+    t_delta_scan,
+    t_nabla_scan,
+    touching_points_iteration,
+    varsigma_scan,
+)
 
 SHAPE = ModelShape(delta=1.0, epsilon=0.2, sigma=0.0)
 SHAPE_B = ModelShape(delta=0.8, epsilon=1.0 / 6.0, sigma=0.0)
@@ -266,6 +273,33 @@ def test_touching_points_tiny_suffix_masses():
     assert len(us) == 5
     assert np.all(np.diff(us) > 0)
     assert us[-1] == 1.0
+
+
+def test_touching_points_match_the_damped_iteration():
+    # 200 random shapes and 2-5 rung ladders: each interior level is one
+    # bracketed root of h(u) = u - 2 Phi(-t_delta(u)) (1 - g) - g on [g, 1],
+    # checked against the damped fixed-point iteration; where it solves, h
+    # crosses zero once upward on a 64-point grid, so the root is unique
+    rng = np.random.default_rng(2020)
+    raised = 0
+    for _ in range(200):
+        shape = ModelShape(rng.uniform(0.2, 4.0), rng.uniform(0.01, 0.5))
+        gamma = rng.dirichlet(np.ones(rng.integers(2, 6))).tolist()
+        try:
+            want = touching_points_iteration(gamma, shape)
+        except InfeasibleRegionError:
+            with pytest.raises(InfeasibleRegionError):
+                touching_points(gamma, shape)
+            raised += 1
+            continue
+        got = touching_points(gamma, shape)
+        assert [u for u, _ in got] == pytest.approx([u for u, _ in want], rel=0, abs=1e-12)
+        for g in np.cumsum(gamma[::-1])[:-1]:
+            us = np.linspace(g, 1.0, 64)
+            h = us - 2.0 * normal_cdf(-t_delta_grid(us, shape.delta, shape.epsilon)) * (1 - g) - g
+            assert np.sum((h[:-1] <= 0.0) & (h[1:] > 0.0)) == 1
+            assert not np.any((h[:-1] > 0.0) & (h[1:] <= 0.0))
+    assert 10 <= raised <= 40
 
 
 def test_touching_points_validation():
