@@ -227,9 +227,13 @@ def _upper_tpp_table(delta, epsilon):
 def t_nabla(u, shape):
     """Upper-edge threshold at TPP level u, with its varsigma value.
 
-    u(alpha) is strictly decreasing from 1 (at the noiseless floor) to 0, so
+    u(alpha) falls to 0 as alpha grows (from 1 at the noiseless floor), so
     the root is found by monotone bracketing, seeded from a cached coarse
-    table per shape.  Returns (alpha, varsigma).
+    table per shape.  Returns (alpha, varsigma).  Raises
+    ``InfeasibleRegionError`` when the point found misses u(alpha) = u by
+    more than 1e-9: u beyond what the edge reaches, or at a shape whose
+    floor is alpha_min and where u(alpha) first rises from that floor, a u
+    that the table's bracket missed.
     """
     if not (0.0 < u <= 1.0):
         raise ValueError(f"u must lie in (0, 1], got {u!r}")
@@ -242,7 +246,8 @@ def t_nabla(u, shape):
     k = int(np.searchsorted(-us, -u))
     if k == 0:
         # u above the whole table: shrink the lower end's width above the
-        # floor; a width below the resolution ends the walk untested
+        # floor; a width below the resolution ends the walk untested, and
+        # its end is the point
         tol = 1e-15 * max(1.0, floor)
         _, width = _bracket_walk(
             alphas[0] - floor,
@@ -250,8 +255,8 @@ def t_nabla(u, shape):
             lambda w: w >= tol and gap(floor + w) < 0.0,
         )
         lo, hi = floor + width, alphas[0]
-        if width < tol or lo == hi:
-            return lo, varsigma(lo, shape)
+        if width < tol:
+            hi = lo
     elif k >= len(alphas):
         walk = _bracket_walk(
             2.0 * alphas[-1], lambda a: 2.0 * a, lambda a: gap(a) > 0.0, prev=alphas[-1]
@@ -261,8 +266,14 @@ def t_nabla(u, shape):
         lo, hi = walk
     else:
         lo, hi = alphas[max(k - 1, 0)], alphas[k]
-    alpha = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return alpha, varsigma(alpha, shape)
+    alpha = lo if lo == hi else brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    vs = varsigma(alpha, shape)
+    resid = float(excess_prob(vs + alpha, alpha)) - u
+    if not abs(resid) <= _EQ_TOL:
+        raise InfeasibleRegionError(
+            f"upper edge misses u = {u} at alpha = {alpha:.6f} by {resid:.2e} for {shape}"
+        )
+    return alpha, vs
 
 
 def q_nabla(u, shape):

@@ -150,6 +150,19 @@ def test_t_nabla_frozen_and_scan():
         assert vs == varsigma(alpha, SHAPE)
 
 
+def test_t_nabla_raises_where_its_point_misses_the_level():
+    # at (0.5, 0.2) u(alpha) rises from 0.6853 at alpha_min to 0.9768 near
+    # alpha = 0.865 before it falls, and the table's bracket misses the levels
+    # 0.89-0.97: each came back as the floor point, whose u is 0.6853
+    shape = ModelShape(delta=0.5, epsilon=0.2, sigma=0.0)
+    with pytest.raises(InfeasibleRegionError, match="misses u = 0.9"):
+        t_nabla(0.9, shape)
+    pts = crescent(shape, n_points=99)
+    assert len(pts) == 88 and pts[-1].u == pytest.approx(0.88)
+    for p in pts:
+        assert excess_prob(p.varsigma + p.t_nabla, p.t_nabla) == pytest.approx(p.u, abs=1e-9)
+
+
 def test_q_nabla_frozen_both_shapes():
     assert q_nabla(0.5, SHAPE) == pytest.approx(0.0781731750932415, abs=1e-10)
     alpha_b, _ = t_nabla(0.5, SHAPE_B)
