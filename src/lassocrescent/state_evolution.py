@@ -126,12 +126,20 @@ class DiscretePrior:
         """Geometric ladder of m atoms base^1, ..., base^m, equal mass eps/m."""
         if m < 1:
             raise ValueError("m must be at least 1")
+        # refuse before building the m atoms what __post_init__ would refuse:
+        # repeated values, and a last atom |base|**m that leaves the float range
+        size = abs(float(base))
+        if size == 1.0 and m > (1 if base > 0 else 2):
+            raise ValueError("atom values must be distinct")
         try:
-            values = [float(base) ** i for i in range(1, m + 1)]
-        except OverflowError:
-            raise ValueError(f"base**{m} overflows") from None
-        if not all(math.isfinite(v) for v in values):
+            last = size**m
+        except OverflowError:  # the power, or m itself, is past the float range
+            last = math.inf if size > 1.0 else 0.0
+        if not math.isfinite(last):
             raise ValueError(f"base**{m} overflows")
+        if last == 0.0:
+            raise ValueError("atom values must be finite and nonzero")
+        values = [float(base) ** i for i in range(1, m + 1)]
         return cls(
             atoms=tuple((v, epsilon / m) for v in values),
             null_mass=1.0 - epsilon,

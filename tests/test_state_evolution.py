@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,28 @@ def test_prior_validation():
         DiscretePrior.heterogeneous(0.2, 0, 10.0)
     with pytest.raises(ValueError, match="overflows"):
         DiscretePrior.heterogeneous(0.2, 500, 10.0)
+
+
+def test_heterogeneous_prior_refuses_a_bad_ladder_before_building_it():
+    # a ladder the atom checks would refuse is refused in O(1): at m = 10**6
+    # the atom list took 5.7 s and 193 MB before its duplicates were found
+    for base, message in ((1.0, "distinct"), (10.0, "overflows")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                DiscretePrior.heterogeneous(0.2, 10**6, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    # at the edges, the same messages as the atom checks
+    for base, m, message in ((0.0, 1, "nonzero"), (-1.0, 3, "distinct"),
+                             (0.5, 1075, "nonzero"), (-10.0, 309, "overflows")):
+        with pytest.raises(ValueError, match=message):
+            DiscretePrior.heterogeneous(0.2, m, base)
+    assert len(DiscretePrior.heterogeneous(0.2, 2, -1.0).atoms) == 2
+    assert DiscretePrior.heterogeneous(0.2, 1074, 0.5).values[-1] == 5e-324
+    assert DiscretePrior.heterogeneous(0.2, 308, -10.0).values[-1] == 1e308
 
 
 def test_shape_validation():
