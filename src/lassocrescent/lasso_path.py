@@ -19,8 +19,8 @@ O(n p |S|) product, which costs fewer flops than X'X exactly when 2|S| < p.
 When p > n a p x (max_active + 1) buffer (at most |S| + 2 columns on a
 first-false path) takes the column X' x_j as variable j enters, one O(np)
 product per entry, so memory stays O(p min(n, p)).  After that each step
-reads O(p |A|) data, and finds every level in one pass over the stacked
-entry roots of both signs.  The Cholesky factor L of X_A' X_A is stored
+reads O(p |A|) data, and finds every level in one pass over the entry
+roots of each sign.  The Cholesky factor L of X_A' X_A is stored
 packed, row by row in one flat buffer with row i at offset i(i+1)/2, so the
 factor of the first k active variables is always a contiguous prefix: an
 entry appends a row, and the triangular solves run on that prefix in place
@@ -68,8 +68,6 @@ _REFRESH_EVERY = 64
 # unit decrease of lam) stays out: along the whole path it drifts from the
 # level by less than 1e-9 * lam_max
 _TIE_RATE = 1e-9
-# row 0 of the stacked entry roots belongs to sign +1, row 1 to sign -1
-_PM = np.array([[1.0], [-1.0]])
 # a drop updates the trailing Cholesky rows a block at a time, through dense
 # arrays of at most this many doubles (128 kB) each
 _DELETE_BLOCK = 1 << 14
@@ -124,22 +122,21 @@ def _levels(a, c, lam, dropped, slots, b, d):
     sign ``dropped`` (variable, sign) at the last event, and drop levels of
     the active ``slots`` from their coefficients b and direction d.
 
-    Row 1 of the roots over _PM * a is -(c - lam a) / (1 - (-a)), exactly
-    (lam a - c) / (1 + a), and its test -a < 1 - 1e-9 is a > 1e-9 - 1.  A
-    root r gives r on (0, lo), lam from lo up and -inf otherwise, a map that
-    does not decrease, so it is applied once, to the larger root.
+    The root of sign -1, num / (-1 - a), is exactly (lam a - c) / (1 + a).
+    A root r gives r on (0, lo), lam from lo up and -inf otherwise, a map
+    that does not decrease, so it is applied once, to the larger root.
     """
     lo = lam - _tie(lam)
-    sa = _PM * a
+    num = c - lam * a
     with np.errstate(divide="ignore", invalid="ignore"):
-        roots = _PM * (c - lam * a)
-        roots /= 1.0 - sa
+        plus, minus = num / (1.0 - a), num / (-1.0 - a)
         drop_at = lam + b / d
-    np.putmask(roots, sa >= 1.0 - _TIE_RATE, -np.inf)
+    np.putmask(plus, a >= 1.0 - _TIE_RATE, -np.inf)
+    np.putmask(minus, a <= _TIE_RATE - 1.0, -np.inf)
     if dropped is not None:  # no same-sign re-entry right after a drop
         jd, sd = dropped
-        roots[0 if sd > 0 else 1, jd] = -np.inf
-    level = np.fmax(roots[0], roots[1])
+        (plus if sd > 0 else minus)[jd] = -np.inf
+    level = np.fmax(plus, minus, out=plus)
     np.putmask(level, level >= lo, lam)
     np.putmask(level, ~(level > 0.0), -np.inf)
     level[slots] = np.where(
@@ -326,8 +323,9 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     m = (max_active if allowed is None else min(max_active, len(allowed) + 1)) + 1
     P = np.empty(m * (m + 1) // 2)  # packed Cholesky factor, see _chol_append
     # slot i of G holds X' x_v for the variable v = order[i], the i-th active
-    # one for i < |A|
+    # one for i < |A|; when p <= n, slot[v] = i for every inactive v = order[i]
     gram = p <= n
+    slot = np.empty(p, dtype=np.intp)
     if gram:
         # one BLAS-3 product; F-ordered, so slots are columns
         if allowed is not None and 2 * len(allowed) < p:
@@ -336,6 +334,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         else:
             order = np.arange(p)
             G = (X.T @ X).T
+        slot[order] = np.arange(len(order))
     else:
         order = np.empty(m, dtype=np.intp)
         G = np.empty((p, m), order="F")
@@ -359,6 +358,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             # the dropped slot moves to k - 1, where the full Gram keeps it
             for buf in (sgn, beta, G.T, order):
                 _slot_to_end(buf, pos, k)
+            slot[j] = k - 1
             k -= 1
             w[:k] = dtpsv(k, P, sgn[:k], trans=1)
         else:
@@ -368,7 +368,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             # swap j's column into slot k; a variable outside the stop set may
             # have none in G, and the path stops at its entry
             elif allowed is None or j in allowed:
-                s = k + int(np.flatnonzero(order[k:] == j)[0])
+                s = slot[order[k]] = slot[j]  # the variable in slot k moves to s
                 G[:, k], G[:, s] = G[:, s], G[:, k].copy()
                 order[k], order[s] = order[s], order[k]
             row = _chol_append(P, k, G[j, :k], col_sq[j], j)

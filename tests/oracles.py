@@ -8,8 +8,8 @@ thresholds by descending grid scans (largest-root semantics) plus Brent
 refinement or bisection, Lasso solutions by coordinate descent with a
 duality-gap certificate, and correlated designs by factoring the full
 p x p covariance.  Two solvers are checked against the form they replaced,
-on the same inputs: the path solver's level pass against its earlier
-two-array form (one array per sign of the entry root), and the touching
+on the same inputs: the path solver's level pass against its first form
+(masks and level map by ``np.where``), and the touching
 levels against the damped fixed-point iteration over the library's t_delta.
 The path solver's solutions are also checked against the fixed point of
 approximate message passing.
@@ -394,8 +394,9 @@ def cholesky_design(spec, rng):
 
 def path_levels(a, c, lam, dropped, slots, b, d):
     """Each variable's next level on the Lasso path, one array per sign of
-    the entry root: lasso_path's level pass before it stacked the signs.
-    Arguments as for ``lassocrescent.lasso_path._levels``."""
+    the entry root, each masked and mapped by ``np.where``: lasso_path's
+    level pass in its first form.  Arguments as for
+    ``lassocrescent.lasso_path._levels``."""
     lo = lam - 1e-12 * max(1.0, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         plus = np.where(a < 1.0 - 1e-9, (c - lam * a) / (1.0 - a), np.nan)
