@@ -227,13 +227,12 @@ def _upper_tpp_table(delta, epsilon):
 def t_nabla(u, shape):
     """Upper-edge threshold at TPP level u, with its varsigma value.
 
-    u(alpha) falls to 0 as alpha grows (from 1 at the noiseless floor), so
-    the root is found by monotone bracketing, seeded from a cached coarse
-    table per shape.  Returns (alpha, varsigma).  Raises
-    ``InfeasibleRegionError`` when the point found misses u(alpha) = u by
-    more than 1e-9: u beyond what the edge reaches, or at a shape whose
-    floor is alpha_min and where u(alpha) first rises from that floor, a u
-    that the table's bracket missed.
+    u(alpha) falls to 0 (from 1 at the noiseless floor), so the root is
+    found by monotone bracketing, seeded from a cached coarse table per
+    shape.  Returns (alpha, varsigma), or raises ``InfeasibleRegionError``
+    where the point found misses u(alpha) = u by more than 1e-9: a u past
+    the edge's reach, or one the bracket missed where u(alpha) first rises
+    from alpha_min.
     """
     if not (0.0 < u <= 1.0):
         raise ValueError(f"u must lie in (0, 1], got {u!r}")
@@ -246,8 +245,7 @@ def t_nabla(u, shape):
     k = int(np.searchsorted(-us, -u))
     if k == 0:
         # u above the whole table: shrink the lower end's width above the
-        # floor; a width below the resolution ends the walk untested, and
-        # its end is the point
+        # floor; a width below the resolution ends the walk untested
         tol = 1e-15 * max(1.0, floor)
         _, width = _bracket_walk(
             alphas[0] - floor,
@@ -322,11 +320,10 @@ def touching_points(gamma, shape):
 
         h(u) = u - 2 Phi(-t_delta(u)) (1 - g) - g,
 
-    solved by one ``brentq`` on [g, 1]: h(g) = -2 Phi(-t_delta(g)) (1 - g)
-    <= 0 and h(1) = (1 - g)(1 - 2 Phi(-t_delta(1))) >= 0.  The full-mass
-    suffix g = 1 gives u = 1 exactly, where the crescent closes.  Returns
-    [(u_1, q_delta(u_1)), ...] sorted by increasing u; the first
-    len(gamma) - 1 entries are interior touching levels.
+    found by one ``brentq`` on [g, 1], where h(g) <= 0 <= h(1).
+    The full-mass suffix g = 1 gives u = 1 exactly, where the crescent
+    closes.  Returns [(u_1, q_delta(u_1)), ...] sorted by increasing u; the
+    first len(gamma) - 1 entries are interior touching levels.
     """
     gamma = [float(g) for g in gamma]
     if not gamma or any(not math.isfinite(g) or g <= 0.0 for g in gamma):

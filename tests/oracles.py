@@ -325,7 +325,7 @@ def touching_points_iteration(gamma, shape):
                     break
                 u = nxt
             else:
-                raise RuntimeError(f"touching-point iteration stalled at u = {u} for suffix mass {g}")
+                raise RuntimeError(f"touching-point iteration stalled at u = {u}, mass {g}")
         points.append((float(u), q_delta(u, shape)))
     return sorted(points)
 
