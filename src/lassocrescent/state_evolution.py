@@ -128,8 +128,9 @@ class DiscretePrior:
             raise ValueError("m must be at least 1")
         # refuse before building the m atoms what __post_init__ would refuse:
         # repeated values, and a last atom |base|**m that leaves the float range
-        size = abs(float(base))
-        if size == 1.0 and m > (1 if base > 0 else 2):
+        base = float(base)
+        size = abs(base)
+        if size == 1.0 and m > (1 if base > 0.0 else 2):
             raise ValueError("atom values must be distinct")
         try:
             last = size**m
@@ -139,7 +140,7 @@ class DiscretePrior:
             raise ValueError(f"base**{m} overflows")
         if last == 0.0:
             raise ValueError("atom values must be finite and nonzero")
-        values = [float(base) ** i for i in range(1, m + 1)]
+        values = [base**i for i in range(1, m + 1)]
         return cls(
             atoms=tuple((v, epsilon / m) for v in values),
             null_mass=1.0 - epsilon,

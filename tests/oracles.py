@@ -9,10 +9,10 @@ refinement or bisection, Lasso solutions by coordinate descent with a
 duality-gap certificate, and correlated designs by factoring the full
 p x p covariance.  Two solvers are checked against the form they replaced,
 on the same inputs: the path solver's level pass against its first form
-(masks and level map by ``np.where``), and the touching
-levels against the damped fixed-point iteration over the library's t_delta.
-The path solver's solutions are also checked against the fixed point of
-approximate message passing.
+(masks and level map by ``np.where``), and the touching levels against the
+damped fixed-point iteration over the library's t_delta.  The path solver's
+solutions are also checked against the fixed point of approximate message
+passing.
 """
 
 import math
