@@ -125,8 +125,8 @@ def _cmd_boundary(args):
     if len(points) < n_points:
         header["feasible_u"] = [points[0].u, points[-1].u]
         print(
-            f"note: {n_points - len(points)} grid levels above the phase "
-            f"transition were dropped; feasible TPP range "
+            f"note: {n_points - len(points)} grid levels past the feasible end of "
+            f"an edge were dropped; feasible TPP range "
             f"[{points[0].u:.4f}, {points[-1].u:.4f}]",
             file=sys.stderr,
         )

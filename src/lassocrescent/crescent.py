@@ -15,13 +15,16 @@ This module computes both edges as parametric curves in the TPP level u:
       N(t) / D(t) = (1 - u) / (1 - 2 Phi(-t)).
 
 * upper edge ``q_nabla``: attained by homogeneous (single effect size)
-  priors.  For a threshold alpha above the noiseless floor, the normalized
-  magnitude mtilde(alpha) solves
+  priors, whose noiseless trade-off curve does not depend on the magnitude.
+  t_nabla(u) is the threshold alpha at which the curve of the magnitude-1
+  prior reaches TPP u, found by ``state_evolution``'s curve solver.  There
+  the normalized magnitude mtilde = 1/tau solves
 
       (1-eps) mse_null(alpha) + eps mse_signal(mtilde, alpha) = delta,
 
-  u(alpha) = excess_prob(mtilde(alpha), alpha) is strictly decreasing, and
-  t_nabla(u) inverts it.  ``varsigma`` reports mtilde - alpha.
+  and u = excess_prob(mtilde, alpha); ``varsigma`` reports mtilde - alpha.
+  Like every such curve, the edge ends where the calibrated penalty
+  reaches 0, or else at u = 1 at the noiseless floor.
 
 Both edges share the FDP form q = 2(1-eps)Phi(-t) / (2(1-eps)Phi(-t) + eps u).
 
@@ -32,21 +35,20 @@ per proper suffix mass of gamma, plus u = 1 where the crescent closes.
 
 Like ``state_evolution``, this module imports no part of ``scipy.optimize``
 when it is loaded, so that the simulation commands, which load it through
-the CLI, never pay for it: ``brentq`` is ``state_evolution.brentq``, and
-``_mtilde_grid`` imports ``elementwise`` where it uses it.
+the CLI, never pay for it: ``brentq`` is ``state_evolution.brentq``.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DivergingRootError, InfeasibleRegionError
-# Unchecked kernels, bound to the public names that perfbench/tracing.py wraps
+# Unchecked kernels and solver helpers, bound to the names that
+# perfbench/tracing.py wraps: it patches each of them, called here or not
 from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob
 from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
-from .state_evolution import ModelShape, _bracket_walk, _check_alpha, _fdp_at
+from .state_evolution import DiscretePrior, ModelShape, _CurveSolver, _check_alpha, _fdp_at
 from .state_evolution import alpha_min, brentq, noiseless_alpha_floor
 
 _T_MAX = 60.0
@@ -60,7 +62,8 @@ class CrescentPoint:
 
     ``t_delta`` is +inf (with q_delta = 0) only where delta / (u eps)
     overflows, so the lower-edge root is not a finite double; all finite
-    parameters satisfy their defining equations to within 1e-9.
+    parameters satisfy their defining equations to within 1e-9.  The upper
+    point is a calibrated Lasso point, with penalty lambda >= 0.
     """
 
     u: float
@@ -149,129 +152,41 @@ def q_delta(u, shape):
     return _fdp_at(_t_delta_or_inf(u, shape), u, shape.epsilon)
 
 
+def _upper_solver(shape):
+    # the upper edge is the noiseless trade-off curve of equal effect sizes,
+    # which does not depend on their magnitude
+    if 1.0 - shape.epsilon == 1.0:  # no prior has this null mass in double
+        raise InfeasibleRegionError(f"epsilon = {shape.epsilon} rounds 1 - epsilon to 1")
+    return _CurveSolver(
+        DiscretePrior.homogeneous(shape.epsilon, 1.0), ModelShape(shape.delta, shape.epsilon)
+    )
+
+
 def varsigma(alpha, shape):
     """Normalized homogeneous effect size (minus alpha) calibrated at alpha.
 
-    Solves (1-eps) mse_null(alpha) + eps mse_signal(m, alpha) = delta for the
-    largest root m (the equation is strictly increasing in m >= 0, so the
-    root is unique once it exists) and returns m - alpha.
+    Returns mtilde - alpha, where mtilde = 1/tau is the noiseless calibration
+    of the magnitude-1 homogeneous prior at alpha: the root of
+    (1-eps) mse_null(alpha) + eps mse_signal(mtilde, alpha) = delta.
     """
     alpha = _check_alpha(alpha)
-    eps = shape.epsilon
-    mn = mse_null(alpha)
-    target = (shape.delta - (1.0 - eps) * mn) / eps
-
-    def f(m):
-        return mse_signal(m, alpha) - target
-
-    # f(0) = mse_null(alpha) - target, evaluated as brentq below will see it
-    if f(0.0) >= 0.0:
-        raise InfeasibleRegionError(
-            f"alpha = {alpha} at or below alpha_min for {shape}"
-        )
-    if target >= 1.0 + alpha * alpha:  # float ** would raise OverflowError
-        raise InfeasibleRegionError(
-            f"alpha = {alpha} at or below the noiseless floor "
-            f"{noiseless_alpha_floor(shape):.6f} for {shape}"
-        )
-
-    walk = _bracket_walk(alpha + 5.0, lambda m: 2.0 * m, lambda m: f(m) <= 0.0, tries=61)
-    if walk is None:
-        raise ConvergenceError(f"failed to bracket mtilde at alpha = {alpha}")
-    mtilde = brentq(f, 0.0, walk[1], xtol=1e-13, rtol=8.9e-16)
-    resid = (1.0 - eps) * mn + eps * mse_signal(mtilde, alpha) - shape.delta
-    if abs(resid) > _EQ_TOL:
-        raise ConvergenceError(f"upper-edge residual {resid:.2e} at alpha = {alpha}")
-    return mtilde - alpha
+    return 1.0 / _upper_solver(shape).tau(alpha) - alpha
 
 
-def _upper_tpp(alpha, shape):
-    return float(excess_prob(varsigma(alpha, shape) + alpha, alpha))
-
-
-def _mtilde_grid(alphas, shape):
-    # vectorized counterpart of the root solve in ``varsigma``
-    from scipy.optimize import elementwise
-
-    eps = shape.epsilon
-    mn = mse_null(alphas)
-    target = (shape.delta - (1.0 - eps) * mn) / eps
-
-    def f(m, a, t):
-        return mse_signal(m, a) - t
-
-    args = (alphas, target)
-    bracket = elementwise.bracket_root(f, alphas + 5.0, xmin=0.0, args=args).bracket
-    root = elementwise.find_root(f, bracket, args=args)
-    if not np.all(root.success):  # also false where no bracket was found
-        raise ConvergenceError(f"failed to solve mtilde on the upper-edge table for {shape}")
-    return root.x
-
-
-@lru_cache(maxsize=64)
-def _upper_tpp_table(delta, epsilon):
-    """Coarse decreasing table u(alpha) on the upper edge, for bracketing."""
-    shape = ModelShape(delta=delta, epsilon=epsilon, sigma=0.0)
-    floor = max(noiseless_alpha_floor(shape), alpha_min(shape))
-    step0 = max(1e-9, 1e-9 * floor)
-    hi = max(floor + 12.0, math.sqrt(shape.delta / shape.epsilon) + 12.0)
-    # geometric refinement toward the floor (u -> 1 there), linear beyond
-    near = floor + step0 * np.geomspace(1.0, 1e7, 36)
-    far = np.linspace(near[-1] * 2.0 - floor, hi, 480)
-    alphas = np.unique(np.concatenate([near, far]))
-    mt = _mtilde_grid(alphas, shape)
-    us = excess_prob(mt, alphas)
-    return floor, alphas, us
-
-
-def t_nabla(u, shape):
+def t_nabla(u, shape, solver=None):
     """Upper-edge threshold at TPP level u, with its varsigma value.
 
-    u(alpha) falls to 0 (from 1 at the noiseless floor), so the root is
-    found by monotone bracketing, seeded from a cached coarse table per
-    shape.  Returns (alpha, varsigma), or raises ``InfeasibleRegionError``
-    where the point found misses u(alpha) = u by more than 1e-9: a u past
-    the edge's reach, or one the bracket missed where u(alpha) first rises
-    from alpha_min.
+    alpha is where the homogeneous prior's noiseless trade-off curve has TPP
+    u (``_CurveSolver.alpha_at_tpp``); ``solver``, built by ``_upper_solver``,
+    carries its solved points from one level to the next.  Returns
+    (alpha, varsigma(alpha, shape)), or raises ``InfeasibleRegionError`` for a
+    u past the edge's reach: where the calibrated penalty reaches 0, or above
+    the TPP at the noiseless floor.
     """
     if not (0.0 < u <= 1.0):
         raise ValueError(f"u must lie in (0, 1], got {u!r}")
-    floor, alphas, us = _upper_tpp_table(shape.delta, shape.epsilon)
-
-    def gap(a):
-        return _upper_tpp(a, shape) - u
-
-    # us decreases with alpha: find the first table entry at or below u
-    k = int(np.searchsorted(-us, -u))
-    if k == 0:
-        # u above the whole table: shrink the lower end's width above the
-        # floor; a width below the resolution ends the walk untested
-        tol = 1e-15 * max(1.0, floor)
-        _, width = _bracket_walk(
-            alphas[0] - floor,
-            lambda w: w / 64.0,
-            lambda w: w >= tol and gap(floor + w) < 0.0,
-        )
-        lo, hi = floor + width, alphas[0]
-        if width < tol:
-            hi = lo
-    elif k >= len(alphas):
-        walk = _bracket_walk(
-            2.0 * alphas[-1], lambda a: 2.0 * a, lambda a: gap(a) > 0.0, prev=alphas[-1]
-        )
-        if walk is None:
-            raise ConvergenceError(f"failed to bracket upper-edge root at u = {u}")
-        lo, hi = walk
-    else:
-        lo, hi = alphas[max(k - 1, 0)], alphas[k]
-    alpha = lo if lo == hi else brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    vs = varsigma(alpha, shape)
-    resid = float(excess_prob(vs + alpha, alpha)) - u
-    if not abs(resid) <= _EQ_TOL:
-        raise InfeasibleRegionError(
-            f"upper edge misses u = {u} at alpha = {alpha:.6f} by {resid:.2e} for {shape}"
-        )
-    return alpha, vs
+    alpha = (solver or _upper_solver(shape)).alpha_at_tpp(u)
+    return alpha, varsigma(alpha, shape)
 
 
 def q_nabla(u, shape):
@@ -292,13 +207,14 @@ def crescent(shape, n_points=99):
         raise ValueError("n_points must be positive")
     if shape.sigma != 0.0:
         raise ValueError("crescent edges are defined for noiseless shapes (sigma = 0)")
+    solver = _upper_solver(shape)
     points = []
     for j in range(1, n_points + 1):
         u = j / (n_points + 1.0)
         try:
             td = _t_delta_or_inf(u, shape)
             qd = _fdp_at(td, u, shape.epsilon)
-            tn, vs = t_nabla(u, shape)
+            tn, vs = t_nabla(u, shape, solver)
             qn = _fdp_at(tn, u, shape.epsilon)
         except InfeasibleRegionError:
             continue

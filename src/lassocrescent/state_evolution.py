@@ -37,6 +37,7 @@ root, and the import costs each of its processes ~0.15-0.2 s and ~17 MB
 which keeps that name because ``perfbench/tracing.py`` wraps it.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -110,7 +111,7 @@ class DiscretePrior:
             raise ValueError("atom values must be distinct")
         if any(not math.isfinite(p) or p <= 0.0 for _, p in atoms):
             raise ValueError("atom probabilities must be positive")
-        total = self.null_mass + sum(p for _, p in atoms)
+        total = math.fsum([self.null_mass, *(p for _, p in atoms)])
         if not math.isfinite(self.null_mass) or not 0.0 <= self.null_mass < 1.0:
             raise ValueError(f"null_mass must lie in [0, 1), got {self.null_mass!r}")
         if abs(total - 1.0) > 1e-12:
@@ -300,10 +301,9 @@ def admissible_alpha_lower(prior, shape):
     return lo
 
 
-def _tau_residual(theta, prior, alpha, shape):
-    mse = prior.null_mass * mse_null(alpha) + float(
-        np.sum(prior.probs * mse_signal(prior.values * theta, alpha))
-    )
+def _tau_residual(theta, prior, alpha, null, shape):
+    # null = prior.null_mass * mse_null(alpha), which does not depend on theta
+    mse = null + float(np.sum(prior.probs * mse_signal(prior.values * theta, alpha)))
     # float ** raises OverflowError where * gives inf; theta = inf (from a
     # subnormal tau) would make 0 * inf = nan at sigma = 0
     st = shape.sigma * theta if shape.sigma else 0.0
@@ -322,12 +322,18 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
     """
     _require_matching_sparsity(prior, shape)
     alpha = _check_alpha(alpha)
+    mn = mse_null(alpha)
+    null = prior.null_mass * mn
+    seen = {}  # brentq evaluates the walk's end points again, and the check its root
 
     def g(theta):
-        return _tau_residual(theta, prior, alpha, shape)
+        r = seen.get(theta)
+        if r is None:
+            r = seen[theta] = _tau_residual(theta, prior, alpha, null, shape)
+        return r
 
     # quick feasibility screens: R(0+) >= 0 or R(inf) <= 0 mean no root
-    if mse_null(alpha) >= shape.delta:
+    if mn >= shape.delta:
         raise InfeasibleRegionError(
             f"alpha = {alpha} is at or below alpha_min for delta = {shape.delta}"
         )
@@ -391,7 +397,8 @@ def equation_residuals(prior, point):
         raise ValueError(f"tau must be positive and finite, got {point.tau!r}")
     if not math.isfinite(point.lam):
         raise ValueError(f"lam must be finite, got {point.lam!r}")
-    r1 = _tau_residual(1.0 / point.tau, prior, alpha, point.shape)
+    null = prior.null_mass * mse_null(alpha)
+    r1 = _tau_residual(1.0 / point.tau, prior, alpha, null, point.shape)
     lam = _lambda_given_tau(prior, alpha, point.shape, point.tau)
     r2 = (point.lam - lam) / max(1.0, abs(lam))
     return r1, r2
@@ -463,8 +470,11 @@ class _CurveSolver:
         self.prior = prior
         self.shape = shape
         self.floor = admissible_alpha_lower(prior, shape)
+        self.start = self.floor + max(1e-7, 1e-7 * self.floor)
         self._tau_cache = {}
         self._hint = None
+        self._tpp = {}
+        self._alphas = []  # the keys of _tpp, ascending
 
     def tau(self, alpha):
         tau = self._tau_cache.get(alpha)
@@ -477,16 +487,21 @@ class _CurveSolver:
         return tau
 
     def tpp(self, alpha):
-        tau = self.tau(alpha)
-        return _tradeoff_given_tau(self.prior, alpha, self.shape, tau)[0]
+        u = self._tpp.get(alpha)
+        if u is None:
+            u = _tradeoff_given_tau(self.prior, alpha, self.shape, self.tau(alpha))[0]
+            self._tpp[alpha] = u
+            bisect.insort(self._alphas, alpha)
+        return u
 
     def lam(self, alpha):
         return _lambda_given_tau(self.prior, alpha, self.shape, self.tau(alpha))
 
     def feasible_alpha_lo(self):
-        """Smallest usable alpha: just above the floor, pushed up to where the
-        calibrated penalty becomes positive (the hard phase-transition cut)."""
-        a = self.floor + max(1e-7, 1e-7 * self.floor)
+        """Smallest usable alpha: ``start``, just above the floor, pushed up to
+        where the calibrated penalty becomes positive (the hard
+        phase-transition cut)."""
+        a = self.start
         if self.lam(a) > 0.0:
             return a
         walk = _bracket_walk(
@@ -509,10 +524,52 @@ class _CurveSolver:
         )
         return end, cap
 
-    def alpha_at_tpp(self, target, a_lo, a_hi):
+    def root(self, target, a_lo, a_hi):
         return brentq(
-            lambda a: self.tpp(a) - target, a_lo, a_hi, xtol=1e-13, rtol=8.9e-16
+            lambda a: self.tpp(a) - target, a_lo, a_hi, xtol=1e-300, rtol=8.9e-16
         )
+
+    def alpha_at_tpp(self, target):
+        """Threshold at which the TPP equals ``target``.
+
+        TPP falls as alpha rises from ``feasible_alpha_lo``.  A lower target
+        is reached by ``walk_up``; a higher one, where the penalty cut does
+        not bind, by shrinking the gap to the floor by factors of 64 down to
+        the resolution of alpha (as alpha falls to the noiseless floor, TPP
+        rises to 1).  The root is then bracketed by the adjacent pair of
+        alphas solved so far whose TPP values straddle the target.  Raises
+        ``InfeasibleRegionError`` where the point found misses the target by
+        more than 1e-9, and where the penalty cut binds below the target.
+        """
+        a_min = self.feasible_alpha_lo()
+        if target <= self.tpp(a_min):
+            a_hi, cap = self.walk_up(a_min, target, 100.0)
+            if a_hi > cap:
+                raise ConvergenceError(f"failed to bracket TPP = {target} from above")
+        elif a_min > self.start:
+            raise InfeasibleRegionError(
+                f"TPP = {target} lies past the curve's end {self.tpp(a_min):.6f}, "
+                f"where the calibrated penalty reaches 0, for {self.shape}"
+            )
+        else:
+            tol = 1e-15 * max(1.0, self.floor)
+            _bracket_walk(
+                (a_min - self.floor) / 64.0,
+                lambda w: w / 64.0,
+                lambda w: w >= tol and self.tpp(self.floor + w) < target,
+            )
+        # binary search finds an adjacent pair across the target in any order
+        k = bisect.bisect_left(self._alphas, -target, key=lambda a: -self._tpp[a])
+        if k == 0:  # no TPP solved so far reaches the target: the nearest point
+            alpha = self._alphas[0]
+        else:
+            alpha = self.root(target, self._alphas[k - 1], self._alphas[k])
+        if not abs(self.tpp(alpha) - target) <= 1e-9:
+            raise InfeasibleRegionError(
+                f"TPP = {target} outside the achievable range: the nearest point, "
+                f"alpha = {alpha:.6f}, has TPP {self.tpp(alpha):.6f} for {self.shape}"
+            )
+        return alpha
 
 
 def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
@@ -550,9 +607,7 @@ def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
     # geomspace pins grid[0] = a_min and grid[-1] = a_max, so every target lies
     # in (grid_u[-1], grid_u[0]) and its first k with grid_u[k] <= u has 0 < k < 48
     ks = np.searchsorted(-grid_u, -targets)
-    out_alpha = np.array(
-        [solver.alpha_at_tpp(u, grid[k - 1], grid[k]) for u, k in zip(targets, ks)]
-    )
+    out_alpha = np.array([solver.root(u, grid[k - 1], grid[k]) for u, k in zip(targets, ks)])
 
     tpps = np.empty(n_points)
     fdps = np.empty(n_points)
@@ -580,16 +635,10 @@ def tradeoff_at_tpp(prior, shape, tpp):
     """Point on the instance trade-off curve at a prescribed TPP level."""
     if not math.isfinite(tpp):
         raise ValueError(f"tpp must be finite, got {tpp!r}")
+    if not tpp > 0.0:
+        raise InfeasibleRegionError(f"TPP = {tpp} outside the achievable range (0, 1]")
     solver = _CurveSolver(prior, shape)
-    a_min = solver.feasible_alpha_lo()
-    if not 0.0 < tpp < solver.tpp(a_min):
-        raise InfeasibleRegionError(
-            f"TPP = {tpp} outside achievable range (0, {solver.tpp(a_min):.6f})"
-        )
-    a_hi, cap = solver.walk_up(a_min, tpp, 100.0)
-    if a_hi > cap:
-        raise ConvergenceError(f"failed to bracket TPP = {tpp} from above")
-    alpha = solver.alpha_at_tpp(tpp, a_min, a_hi)
+    alpha = solver.alpha_at_tpp(tpp)
     tau = solver.tau(alpha)
     u, q = _tradeoff_given_tau(prior, alpha, shape, tau)
     return u, q, alpha, tau

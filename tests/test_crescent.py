@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lassocrescent import (
-    ConvergenceError,
     DiscretePrior,
     DivergingRootError,
     InfeasibleRegionError,
@@ -99,11 +100,12 @@ def test_varsigma_frozen_and_identity():
     assert abs(resid) < 1e-9
     # and via independent quadrature
     assert vs == pytest.approx(varsigma_scan(2.2, 1.0, 0.2), abs=1e-9)
-    # just above the noiseless floor the root lies far out, so the bracket
-    # has to grow; the equation is flat there, hence the looser scan match
+    # just above the noiseless floor the root lies far out, where the equation
+    # is so flat that rounding moves its double-precision root by ~2e-9 (the
+    # m-root solve gave 5.545690397161071): hence the looser scan match
     a = noiseless_alpha_floor(SHAPE) + 1e-8
     vs = varsigma(a, SHAPE)
-    assert vs == pytest.approx(5.545690397161071, abs=1e-10)
+    assert vs == pytest.approx(5.545690397513385, abs=1e-10)
     assert abs(0.8 * mse_null(a) + 0.2 * mse_signal(vs + a, a) - 1.0) < 1e-9
     assert vs == pytest.approx(varsigma_scan(a, 1.0, 0.2), abs=1e-6)
 
@@ -132,15 +134,15 @@ def test_t_nabla_frozen_and_scan():
     assert vs == pytest.approx(varsigma(alpha, SHAPE), abs=1e-10)
     a_scan, _ = t_nabla_scan(0.5, 1.0, 0.2)
     assert alpha == pytest.approx(a_scan, abs=1e-8)
-    # u below the cached table: the bracket grows past its last entry
+    # far down the edge alpha walks up past its start
     for u, frozen, a_max in [(1e-40, 15.54698934892496, 16.0),
                              (1e-200, 32.441662157079435, 33.0)]:
         alpha, vs = t_nabla(u, SHAPE)
         assert alpha == pytest.approx(frozen, abs=1e-9)
         assert excess_prob(vs + alpha, alpha) == pytest.approx(u, rel=1e-9)
         assert alpha == pytest.approx(t_nabla_scan(u, 1.0, 0.2, a_max=a_max)[0], abs=1e-8)
-    # u above the cached table: the lower end walks toward the noiseless
-    # floor, where u -> 1; at u = 1 the walk stops one step off the floor
+    # above the TPP at the curve's start alpha walks toward the noiseless
+    # floor, where u -> 1; at u = 1 the walk stops at the resolution of alpha
     floor = noiseless_alpha_floor(SHAPE)
     for u, frozen in [(1.0 - 1e-9, 1.9880129090104814), (1.0, 1.988012908337557)]:
         alpha, vs = t_nabla(u, SHAPE)
@@ -152,15 +154,23 @@ def test_t_nabla_frozen_and_scan():
 
 def test_t_nabla_raises_where_its_point_misses_the_level():
     # at (0.5, 0.2) u(alpha) rises from 0.6853 at alpha_min to 0.9768 near
-    # alpha = 0.865 before it falls, and the table's bracket misses the levels
-    # 0.89-0.97: each came back as the floor point, whose u is 0.6853
+    # alpha = 0.865 before it falls; the edge starts where the calibrated
+    # penalty reaches 0, at u = 0.976631, and reaches every level below it
     shape = ModelShape(delta=0.5, epsilon=0.2, sigma=0.0)
-    with pytest.raises(InfeasibleRegionError, match="misses u = 0.9"):
-        t_nabla(0.9, shape)
+    alpha, vs = t_nabla(0.9, shape)
+    assert alpha == pytest.approx(1.16456059951168, abs=1e-9)
+    assert excess_prob(vs + alpha, alpha) == pytest.approx(0.9, abs=1e-9)
+    # the penalty factor 1 - P(|Pi + tau W| > alpha tau) / delta
+    assert 1.0 - (0.2 * 0.9 + 2.0 * 0.8 * normal_cdf(-alpha)) / 0.5 == pytest.approx(0.249, abs=1e-3)
+    with pytest.raises(InfeasibleRegionError, match="penalty reaches 0"):
+        t_nabla(0.98, shape)
     pts = crescent(shape, n_points=99)
-    assert len(pts) == 88 and pts[-1].u == pytest.approx(0.88)
+    assert len(pts) == 97 and pts[-1].u == pytest.approx(0.97)
     for p in pts:
         assert excess_prob(p.varsigma + p.t_nabla, p.t_nabla) == pytest.approx(p.u, abs=1e-9)
+    # the levels 0.89-0.97, which the tabled bracket missed, against the scan
+    for p in pts[88::4]:
+        assert p.t_nabla == pytest.approx(t_nabla_scan(p.u, 0.5, 0.2, a_max=1.5)[0], abs=1e-8)
 
 
 def test_q_nabla_frozen_both_shapes():
@@ -179,6 +189,18 @@ def test_upper_edge_monotone_and_above_lower():
 
 
 # --- assembled crescent -------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(delta=st.floats(0.1, 4.0), ratio=st.floats(0.01, 0.95))
+def test_crescent_upper_points_solve_their_level_at_a_nonnegative_penalty(delta, ratio):
+    # every upper point reproduces its TPP level and lies on the Lasso's side
+    # of the penalty cut: 1 - P(|Pi + tau W| > alpha tau) / delta >= 0
+    eps = ratio * min(delta, 1.0)
+    for p in crescent(ModelShape(delta=delta, epsilon=eps), n_points=19):
+        assert abs(excess_prob(p.varsigma + p.t_nabla, p.t_nabla) - p.u) <= 1e-9
+        tail = 2.0 * (1.0 - eps) * normal_cdf(-p.t_nabla)
+        assert 1.0 - (eps * p.u + tail) / delta >= 0.0
 
 
 def test_crescent_grid():
@@ -207,10 +229,11 @@ def test_crescent_diverging_lower_edge():
 
 
 def test_crescent_truncates_infeasible_levels():
-    # above the phase transition high TPP levels drop off the grid
+    # above the phase transition high TPP levels drop off the grid: the upper
+    # edge ends at u = 0.48896, where the calibrated penalty reaches 0
     pts = crescent(ModelShape(delta=0.3, epsilon=0.25, sigma=0.0), n_points=9)
     assert 0 < len(pts) < 9
-    assert pts[-1].u == pytest.approx(0.5)
+    assert pts[-1].u == pytest.approx(0.4)
 
 
 def test_crescent_fully_infeasible_raises():
@@ -228,14 +251,18 @@ def test_crescent_validation():
 def test_extreme_inputs_raise_solver_errors():
     # cases the error-taxonomy stress test found; each raised another error type
     with np.errstate(over="ignore", under="ignore"):
-        # alpha**2 overflowed: OverflowError; brentq's own non-convergence: RuntimeError
+        # alpha**2 overflowed: OverflowError; brentq's own non-convergence:
+        # RuntimeError.  Far above the floor the root m = sqrt(delta/eps) is
+        # tiny against alpha, so varsigma = m - alpha rounds to -alpha
         for alpha, shape in ((1e200, SHAPE), (2.3755269386315396e61, ModelShape(1.0, 0.0180544))):
-            with pytest.raises(ConvergenceError):
-                varsigma(alpha, shape)
+            assert varsigma(alpha, shape) == -alpha
         # u far above the upper edge's reach: f(0) >= 0 by rounding made brentq's
         # sign check fail with ValueError
         with pytest.raises(InfeasibleRegionError):
             t_nabla(0.5, ModelShape(delta=1e-3, epsilon=0.5))
+    # 1 - eps rounds to 1, so no prior has the shape's null mass: ValueError
+    with pytest.raises(InfeasibleRegionError, match="rounds"):
+        t_nabla(0.5, ModelShape(delta=1.0, epsilon=1e-17))
     # u * eps underflowed to 0: ZeroDivisionError
     assert q_delta(5e-324, ModelShape(delta=3.4, epsilon=0.056)) == 0.0
 

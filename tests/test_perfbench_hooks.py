@@ -50,7 +50,7 @@ def test_tracer_records_gauss_kernels_and_restores(monkeypatch):
 
         se.tradeoff_curve(DiscretePrior.homogeneous(0.2, 1.0), shape, 5)
         after_curve = kernel_calls()
-        cr.crescent(shape, 5)
+        points = cr.crescent(shape, 5)
         after_crescent = kernel_calls()
     finally:
         tracer.uninstall()
@@ -59,6 +59,10 @@ def test_tracer_records_gauss_kernels_and_restores(monkeypatch):
     for f in tracing.GAUSS_KERNELS:
         assert after_curve[f] >= 1, f
         assert after_crescent[f] > after_curve[f], f
+    # one span of each edge per point, so crescent.t_*_ms time the edges
+    assert len(points) == 5
+    for edge in ("t_delta", "t_nabla"):
+        assert tracer.stat(f"crescent.{edge}", "calls") == len(points), edge
     for mod, attr, original in patched:
         assert getattr(mod, attr) is original, f"{mod.__name__}.{attr}"
 

@@ -110,6 +110,13 @@ def test_heterogeneous_prior_refuses_a_bad_ladder_before_building_it():
     assert DiscretePrior.heterogeneous(0.2, 308, -10.0).values[-1] == 1e308
 
 
+def test_prior_accepts_a_million_equal_masses():
+    # a plain left-to-right sum of 10**6 masses of 2e-7 drifts 3.7e-12 from 1
+    m = 10**6
+    prior = DiscretePrior(atoms=tuple((float(i), 0.2 / m) for i in range(1, m + 1)), null_mass=0.8)
+    assert len(prior.atoms) == m
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         ModelShape(delta=0.0, epsilon=0.2, sigma=0.0)
@@ -394,10 +401,18 @@ def test_tradeoff_at_tpp_frozen():
 
 
 def test_tradeoff_at_tpp_out_of_range():
-    with pytest.raises(InfeasibleRegionError):
-        tradeoff_at_tpp(PRIOR1, SHAPE, 0.9999999)
-    with pytest.raises(InfeasibleRegionError):
-        tradeoff_at_tpp(PRIOR1, SHAPE, 0.0)
+    # the noiseless TPP rises to 1 at the noiseless floor: levels up to 1 solve
+    floor = noiseless_alpha_floor(SHAPE)
+    for tpp in (1.0 - 1e-9, 1.0):
+        u, _, alpha, _ = tradeoff_at_tpp(PRIOR1, SHAPE, tpp)
+        assert u == pytest.approx(tpp, abs=1e-12)
+        assert floor < alpha < floor + 1e-9
+    for tpp in (1.0 + 1e-6, 0.0):
+        with pytest.raises(InfeasibleRegionError):
+            tradeoff_at_tpp(PRIOR1, SHAPE, tpp)
+    # at (0.5, 0.2) the curve ends at TPP 0.976631, where the penalty reaches 0
+    with pytest.raises(InfeasibleRegionError, match="penalty reaches 0"):
+        tradeoff_at_tpp(PRIOR1, ModelShape(delta=0.5, epsilon=0.2), 0.98)
     # a non-finite level is invalid input, not an infeasible one
     for tpp in (math.nan, math.inf):
         with pytest.raises(ValueError, match="tpp"):
