@@ -541,10 +541,10 @@ class _CurveSolver:
         ``InfeasibleRegionError`` where the point found misses the target by
         more than 1e-9, and where the penalty cut binds below the target.
         """
-        a_min = self.feasible_alpha_lo()
+        a_min = end = self.feasible_alpha_lo()
         if target <= self.tpp(a_min):
-            a_hi, cap = self.walk_up(a_min, target, 100.0)
-            if a_hi > cap:
+            end, cap = self.walk_up(a_min, target, 100.0)
+            if end > cap:
                 raise ConvergenceError(f"failed to bracket TPP = {target} from above")
         elif a_min > self.start:
             raise InfeasibleRegionError(
@@ -558,8 +558,10 @@ class _CurveSolver:
                 lambda w: w / 64.0,
                 lambda w: w >= tol and self.tpp(self.floor + w) < target,
             )
-        # binary search finds an adjacent pair across the target in any order
-        k = bisect.bisect_left(self._alphas, -target, key=lambda a: -self._tpp[a])
+        # TPP at ``end`` is at most the target; below it, binary search finds
+        # an adjacent pair across the target even where TPP is not monotone
+        hi = bisect.bisect_left(self._alphas, end)
+        k = bisect.bisect_left(self._alphas, -target, hi=hi, key=lambda a: -self._tpp[a])
         if k == 0:  # no TPP solved so far reaches the target: the nearest point
             alpha = self._alphas[0]
         else:
