@@ -324,7 +324,7 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
     alpha = _check_alpha(alpha)
     mn = mse_null(alpha)
     null = prior.null_mass * mn
-    seen = {}  # brentq evaluates the walk's end points again, and the check its root
+    seen = {}  # the walk repeats the sign test's point, brentq the walk's, the check its own
 
     def g(theta):
         r = seen.get(theta)
