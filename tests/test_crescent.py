@@ -101,8 +101,8 @@ def test_varsigma_frozen_and_identity():
     # and via independent quadrature
     assert vs == pytest.approx(varsigma_scan(2.2, 1.0, 0.2), abs=1e-9)
     # just above the noiseless floor the root lies far out, where the equation
-    # is so flat that rounding moves its double-precision root by ~2e-9 (the
-    # m-root solve gave 5.545690397161071): hence the looser scan match
+    # is so flat that rounding moves its double-precision root by ~2e-9 (a
+    # 50-digit solve gives 5.5456903950): hence the looser scan match
     a = noiseless_alpha_floor(SHAPE) + 1e-8
     vs = varsigma(a, SHAPE)
     assert vs == pytest.approx(5.545690397513385, abs=1e-10)
@@ -168,7 +168,7 @@ def test_t_nabla_raises_where_its_point_misses_the_level():
     assert len(pts) == 97 and pts[-1].u == pytest.approx(0.97)
     for p in pts:
         assert excess_prob(p.varsigma + p.t_nabla, p.t_nabla) == pytest.approx(p.u, abs=1e-9)
-    # the levels 0.89-0.97, which the tabled bracket missed, against the scan
+    # the levels 0.89, 0.93 and 0.97 against the independent scan
     for p in pts[88::4]:
         assert p.t_nabla == pytest.approx(t_nabla_scan(p.u, 0.5, 0.2, a_max=1.5)[0], abs=1e-8)
 
