@@ -48,7 +48,8 @@ from .errors import ConvergenceError, DivergingRootError, InfeasibleRegionError
 # perfbench/tracing.py wraps: it patches each of them, called here or not
 from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob
 from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
-from .state_evolution import DiscretePrior, ModelShape, _CurveSolver, _check_alpha, _fdp_at
+from .state_evolution import DiscretePrior, ModelShape, _CurveSolver, _check_alpha
+from .state_evolution import _fdp_at, _penalty_factor
 from .state_evolution import alpha_min, brentq, noiseless_alpha_floor
 
 _T_MAX = 60.0
@@ -62,8 +63,8 @@ class CrescentPoint:
 
     ``t_delta`` is +inf (with q_delta = 0) only where delta / (u eps)
     overflows, so the lower-edge root is not a finite double; all finite
-    parameters satisfy their defining equations to within 1e-9.  The upper
-    point is a calibrated Lasso point, with penalty lambda >= 0.
+    parameters satisfy their defining equations to within 1e-9.  Both points
+    are Lasso points, with penalty lambda >= 0.
     """
 
     u: float
@@ -92,8 +93,9 @@ def t_delta(u, shape):
     bisects.  A root above 60 has the closed form sqrt(delta/(u eps) - 1).
     Raises ``DivergingRootError`` when delta/(u eps) overflows (u small
     enough that the root is not a finite double) and
-    ``InfeasibleRegionError`` when no root exists above the admissible
-    threshold range (u beyond the phase-transition cut).
+    ``InfeasibleRegionError`` when no root exists in (0, 60] or when the
+    root's penalty factor 1 - (eps u + 2(1-eps) Phi(-t)) / delta is below 0:
+    its point selects more than delta, so it is no Lasso point.
     """
     if not (0.0 < u <= 1.0):
         raise ValueError(f"u must lie in (0, 1], got {u!r}")
@@ -123,10 +125,11 @@ def t_delta(u, shape):
             xtol=1e-13,
             rtol=8.9e-16,
         )
-    if root < alpha_min(shape) - 1e-9:
+    factor = _penalty_factor(root, u, shape)
+    if factor < 0.0:
         raise InfeasibleRegionError(
-            f"lower-edge root {root:.6f} falls below alpha_min at u = {u} "
-            f"(beyond the phase-transition range for {shape})"
+            f"lower-edge point t = {root:.6f} at u = {u} selects more than delta: "
+            f"penalty factor {factor:.3g} below 0 for {shape}"
         )
     # residual of N(t)/D(t) (1 - 2 Phi(-t)) = 1 - u, which is G(t)/D(t)
     resid = float(_lower_gap(root, u, shape)) / (shape.epsilon * (1.0 + root * root - mse_null(root)))
@@ -198,10 +201,10 @@ def q_nabla(u, shape):
 def crescent(shape, n_points=99):
     """Both crescent edges sampled on the even TPP grid j/(n_points+1).
 
-    Where the shape sits above the phase transition the grid is truncated to
-    the feasible u-range (callers can compare the returned u values against
-    the requested grid); an entirely infeasible shape raises
-    ``InfeasibleRegionError``.
+    The grid ends where the upper edge meets the penalty cut, lambda = 0
+    (callers can compare the returned u values against the requested grid);
+    the lower edge, whose threshold is the larger, reaches at least as far.
+    An entirely infeasible shape raises ``InfeasibleRegionError``.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")

@@ -5,8 +5,10 @@ caller passed something malformed.  The classes below separate the two ways a
 well-posed input can still fail:
 
 * ``InfeasibleRegionError`` -- the requested point lies outside the region
-  where the defining equations have a solution (e.g. a TPP level above the
-  phase-transition range, or a threshold below the noiseless floor).
+  where the defining equations have a solution (e.g. a threshold below the
+  noiseless floor), or its solution is no Lasso point: it selects more than
+  n variables, so its calibrated penalty lies below 0 (a TPP level past the
+  penalty cut of a curve or crescent edge).
 * ``ConvergenceError`` -- the equations should have a solution but an
   iterative solver failed to locate it to tolerance; carries diagnostic
   context and always indicates a bug or a truly pathological instance.

@@ -374,14 +374,15 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
     return 1.0 / theta
 
 
-def _exceedance(prior, alpha, tau):
-    # P(|Pi + tau W| > alpha tau), split over the null mass and the atoms
-    tail = float(np.sum(prior.probs * excess_prob(prior.values / tau, alpha)))
-    return prior.null_mass * 2.0 * normal_cdf(-alpha) + tail
+def _penalty_factor(t, u, shape):
+    # 1 - P(|Pi + tau W| > t tau) / delta at threshold t and TPP u, so that
+    # lambda = alpha tau factor; below 0 the point selects more than n variables
+    return 1.0 - (shape.epsilon * u + 2.0 * (1.0 - shape.epsilon) * normal_cdf(-t)) / shape.delta
 
 
 def _lambda_given_tau(prior, alpha, shape, tau):
-    return (1.0 - _exceedance(prior, alpha, tau) / shape.delta) * alpha * tau
+    u = _tradeoff_given_tau(prior, alpha, shape, tau)[0]
+    return _penalty_factor(alpha, u, shape) * alpha * tau
 
 
 def lambda_of_alpha(prior, alpha, shape):
@@ -499,8 +500,7 @@ class _CurveSolver:
 
     def feasible_alpha_lo(self):
         """Smallest usable alpha: ``start``, just above the floor, pushed up to
-        where the calibrated penalty becomes positive (the hard
-        phase-transition cut)."""
+        where the calibrated penalty becomes positive (the penalty cut)."""
         a = self.start
         if self.lam(a) > 0.0:
             return a
@@ -514,20 +514,15 @@ class _CurveSolver:
         root = brentq(self.lam, *walk, xtol=1e-13, rtol=8.9e-16)
         return root + max(1e-9, 1e-9 * root)
 
-    def walk_up(self, a_min, tpp, cap):
+    def walk_up(self, a_min, tpp):
         """Walk alpha up from max(4 a_min, 4) by factors of 1.5 to the first
-        point with TPP <= ``tpp``, or past ``cap``; returns (end, cap used)."""
+        point with TPP <= ``tpp``, or to the first point past alpha = 100."""
         a_start = max(4.0 * a_min, 4.0)
-        cap = max(a_start, cap)
+        cap = max(a_start, 100.0)
         _, end = _bracket_walk(
             a_start, lambda a: 1.5 * a, lambda a: a <= cap and self.tpp(a) > tpp
         )
-        return end, cap
-
-    def root(self, target, a_lo, a_hi):
-        return brentq(
-            lambda a: self.tpp(a) - target, a_lo, a_hi, xtol=1e-300, rtol=8.9e-16
-        )
+        return end
 
     def alpha_at_tpp(self, target):
         """Threshold at which the TPP equals ``target``.
@@ -543,8 +538,8 @@ class _CurveSolver:
         """
         a_min = end = self.feasible_alpha_lo()
         if target <= self.tpp(a_min):
-            end, cap = self.walk_up(a_min, target, 100.0)
-            if end > cap:
+            end = self.walk_up(a_min, target)
+            if self.tpp(end) > target:
                 raise ConvergenceError(f"failed to bracket TPP = {target} from above")
         elif a_min > self.start:
             raise InfeasibleRegionError(
@@ -565,7 +560,8 @@ class _CurveSolver:
         if k == 0:  # no TPP solved so far reaches the target: the nearest point
             alpha = self._alphas[0]
         else:
-            alpha = self.root(target, self._alphas[k - 1], self._alphas[k])
+            lo, hi = self._alphas[k - 1], self._alphas[k]
+            alpha = brentq(lambda a: self.tpp(a) - target, lo, hi, xtol=1e-300, rtol=8.9e-16)
         if not abs(self.tpp(alpha) - target) <= 1e-9:
             raise InfeasibleRegionError(
                 f"TPP = {target} outside the achievable range: the nearest point, "
@@ -578,9 +574,10 @@ def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
     """Sample the instance-specific trade-off curve on an even TPP grid.
 
     The requested [tpp_lo, tpp_hi] window is intersected with the achievable
-    TPP range for this prior/shape (the upper end is limited by the
-    phase-transition cut where the calibrated penalty reaches zero).  Returns
-    a ``TradeoffCurve`` ordered by increasing TPP with at least two points.
+    TPP range for this prior/shape (the upper end is limited by the penalty
+    cut where the calibrated penalty reaches zero), and each target is solved
+    by ``_CurveSolver.alpha_at_tpp``.  Returns a ``TradeoffCurve`` ordered by
+    increasing TPP with at least two points.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -589,9 +586,7 @@ def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
     solver = _CurveSolver(prior, shape)
     a_min = solver.feasible_alpha_lo()
     u_max_ach = solver.tpp(a_min)
-
-    a_max, _ = solver.walk_up(a_min, tpp_lo, 80.0)
-    u_min_ach = solver.tpp(a_max)
+    u_min_ach = solver.tpp(solver.walk_up(a_min, tpp_lo))
 
     lo = max(tpp_lo, u_min_ach + 1e-12)
     hi = min(tpp_hi, u_max_ach - 1e-12)
@@ -600,16 +595,7 @@ def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
             f"achievable TPP range ({u_min_ach:.4f}, {u_max_ach:.4f}) does not "
             f"meet the requested window ({tpp_lo}, {tpp_hi})"
         )
-    targets = np.linspace(lo, hi, n_points)
-
-    # coarse bracketing table on a geometric alpha grid (TPP is decreasing)
-    grid = np.geomspace(a_min, a_max, 48)
-    grid_u = np.array([solver.tpp(a) for a in grid])
-
-    # geomspace pins grid[0] = a_min and grid[-1] = a_max, so every target lies
-    # in (grid_u[-1], grid_u[0]) and its first k with grid_u[k] <= u has 0 < k < 48
-    ks = np.searchsorted(-grid_u, -targets)
-    out_alpha = np.array([solver.root(u, grid[k - 1], grid[k]) for u, k in zip(targets, ks)])
+    out_alpha = np.array([solver.alpha_at_tpp(u) for u in np.linspace(lo, hi, n_points)])
 
     tpps = np.empty(n_points)
     fdps = np.empty(n_points)

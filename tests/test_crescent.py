@@ -12,6 +12,7 @@ from lassocrescent import (
     DivergingRootError,
     InfeasibleRegionError,
     ModelShape,
+    alpha_min,
     crescent,
     excess_prob,
     mse_null,
@@ -38,6 +39,12 @@ from oracles import (
 
 SHAPE = ModelShape(delta=1.0, epsilon=0.2, sigma=0.0)
 SHAPE_B = ModelShape(delta=0.8, epsilon=1.0 / 6.0, sigma=0.0)
+
+
+def _penalty(t, u, delta, eps):
+    # the penalty factor 1 - P(|Pi + tau W| > t tau) / delta at threshold t and
+    # TPP u; a Lasso point selects at most n variables, so it is >= 0 there
+    return 1.0 - (eps * u + 2.0 * (1.0 - eps) * normal_cdf(-t)) / delta
 
 
 # --- lower edge ---------------------------------------------------------------
@@ -79,6 +86,19 @@ def test_t_delta_validation():
         t_delta(1.5, SHAPE)
     with pytest.raises(ValueError):
         q_delta(-0.1, SHAPE)
+
+
+def test_lower_edge_refuses_points_past_the_penalty_cut():
+    # these roots solve the balance but select more than delta
+    for delta, eps, u in [(0.3, 0.25, 0.51), (0.5, 0.4, 0.68)]:
+        shape = ModelShape(delta=delta, epsilon=eps, sigma=0.0)
+        with pytest.raises(InfeasibleRegionError, match="selects more than delta"):
+            t_delta(u, shape)
+        with pytest.raises(InfeasibleRegionError, match="penalty factor"):
+            q_delta(u, shape)
+    t = t_delta(0.5, ModelShape(delta=0.3, epsilon=0.25, sigma=0.0))
+    assert t == pytest.approx(1.195159461488667, abs=1e-10)
+    assert _penalty(t, 0.5, 0.3, 0.25) == pytest.approx(0.0033, abs=1e-4)
 
 
 def test_lower_edge_monotone():
@@ -194,13 +214,30 @@ def test_upper_edge_monotone_and_above_lower():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(delta=st.floats(0.1, 4.0), ratio=st.floats(0.01, 0.95))
 def test_crescent_upper_points_solve_their_level_at_a_nonnegative_penalty(delta, ratio):
-    # every upper point reproduces its TPP level and lies on the Lasso's side
-    # of the penalty cut: 1 - P(|Pi + tau W| > alpha tau) / delta >= 0
+    # every point of both edges reproduces its TPP level and lies on the
+    # Lasso's side of the penalty cut, the lower point at least as far in
     eps = ratio * min(delta, 1.0)
-    for p in crescent(ModelShape(delta=delta, epsilon=eps), n_points=19):
+    shape = ModelShape(delta=delta, epsilon=eps)
+    pts = crescent(shape, n_points=19)
+    for p in pts:
         assert abs(excess_prob(p.varsigma + p.t_nabla, p.t_nabla) - p.u) <= 1e-9
-        tail = 2.0 * (1.0 - eps) * normal_cdf(-p.t_nabla)
-        assert 1.0 - (eps * p.u + tail) / delta >= 0.0
+        if math.isfinite(p.t_delta):
+            # N(t) / D(t) (1 - 2 Phi(-t)) = 1 - u
+            t, mn = p.t_delta, mse_null(p.t_delta)
+            n_term = (1.0 - eps) * mn + eps * (1.0 + t * t) - delta
+            balance = n_term / (eps * (1.0 + t * t - mn)) * (1.0 - 2.0 * normal_cdf(-t))
+            assert abs(balance - (1.0 - p.u)) <= 1e-9
+        upper = _penalty(p.t_nabla, p.u, delta, eps)
+        assert _penalty(p.t_delta, p.u, delta, eps) >= upper >= 0.0
+    # a lower root past the crescent's last level is a Lasso point too, and so
+    # lies above alpha_min
+    for j in range(round(20 * pts[-1].u) + 1, 20):
+        try:
+            t = t_delta(j / 20.0, shape)
+        except InfeasibleRegionError:
+            continue
+        assert _penalty(t, j / 20.0, delta, eps) >= 0.0
+        assert t >= alpha_min(shape) - 1e-9
 
 
 def test_crescent_grid():

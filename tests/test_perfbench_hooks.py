@@ -50,6 +50,11 @@ def test_tracer_records_gauss_kernels_and_restores(monkeypatch):
 
         se.tradeoff_curve(DiscretePrior.homogeneous(0.2, 1.0), shape, 5)
         after_curve = kernel_calls()
+        # root_calls_per_curve and tau_solves_per_curve count these spans
+        curve_spans = {
+            f: tracer.stat(f"state_evolution.{f}", "calls")
+            for f in ("brentq", "solve_tau_given_alpha")
+        }
         points = cr.crescent(shape, 5)
         after_crescent = kernel_calls()
     finally:
@@ -59,6 +64,8 @@ def test_tracer_records_gauss_kernels_and_restores(monkeypatch):
     for f in tracing.GAUSS_KERNELS:
         assert after_curve[f] >= 1, f
         assert after_crescent[f] > after_curve[f], f
+    for name, calls in curve_spans.items():
+        assert calls >= 1, name
     # one span of each edge per point, so crescent.t_*_ms time the edges
     assert len(points) == 5
     for edge in ("t_delta", "t_nabla"):

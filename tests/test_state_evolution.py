@@ -458,6 +458,30 @@ def test_tradeoff_curve_needs_two_points():
         tradeoff_curve(PRIOR1, SHAPE, 1)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(0.2, 4.0),
+    ratio=st.floats(0.02, 0.6),
+    sigma=st.sampled_from([0.0, 0.5]),
+    rungs=st.integers(1, 4),
+    base=st.floats(1.5, 5.0),
+)
+def test_tradeoff_curve_points_are_calibrated_lasso_points(delta, ratio, sigma, rungs, base):
+    # every point solves both calibration equations at a penalty >= 0 and
+    # sits on the even TPP grid between the curve's ends
+    eps = ratio * min(delta, 1.0)
+    prior = DiscretePrior.heterogeneous(eps, rungs, base)
+    shape = ModelShape(delta=delta, epsilon=eps, sigma=sigma)
+    curve = tradeoff_curve(prior, shape, 12)
+    assert 0.01 - 1e-9 <= curve.tpp[0] and curve.tpp[-1] <= 0.99 + 1e-9
+    targets = np.linspace(curve.tpp[0], curve.tpp[-1], 12)
+    assert np.max(np.abs(curve.tpp - targets)) <= 1e-9
+    for a, tau, lam in zip(curve.alpha, curve.tau, curve.lam):
+        assert lam >= 0.0
+        point = StateEvolutionPoint(alpha=a, tau=tau, lam=lam, shape=shape)
+        assert max(map(abs, equation_residuals(prior, point))) <= 1e-10
+
+
 # --- error taxonomy under stress ------------------------------------------------
 
 
