@@ -381,7 +381,7 @@ def _penalty_factor(t, u, shape):
 
 
 def _lambda_given_tau(prior, alpha, shape, tau):
-    u = _tradeoff_given_tau(prior, alpha, shape, tau)[0]
+    u = _tpp_given_tau(prior, alpha, shape, tau)
     return _penalty_factor(alpha, u, shape) * alpha * tau
 
 
@@ -456,10 +456,13 @@ def _fdp_at(t, u, epsilon):
     return null_rate / denom if denom > 0.0 else 0.0
 
 
+def _tpp_given_tau(prior, alpha, shape, tau):
+    return float(np.sum((prior.probs / shape.epsilon) * excess_prob(prior.values / tau, alpha)))
+
+
 def _tradeoff_given_tau(prior, alpha, shape, tau):
-    eps = shape.epsilon
-    tpp = float(np.sum((prior.probs / eps) * excess_prob(prior.values / tau, alpha)))
-    return tpp, _fdp_at(alpha, tpp, eps)
+    tpp = _tpp_given_tau(prior, alpha, shape, tau)
+    return tpp, _fdp_at(alpha, tpp, shape.epsilon)
 
 
 class _CurveSolver:
@@ -490,7 +493,7 @@ class _CurveSolver:
     def tpp(self, alpha):
         u = self._tpp.get(alpha)
         if u is None:
-            u = _tradeoff_given_tau(self.prior, alpha, self.shape, self.tau(alpha))[0]
+            u = _tpp_given_tau(self.prior, alpha, self.shape, self.tau(alpha))
             self._tpp[alpha] = u
             bisect.insort(self._alphas, alpha)
         return u
