@@ -339,7 +339,6 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         order = np.empty(m, dtype=np.intp)
         G = np.empty((p, m), order="F")
     active = ()  # each event shares this tuple and its int objects
-    is_active = np.zeros(p, dtype=bool)
     sgn = np.zeros(m)
     beta = np.zeros(m)
     w = np.zeros(m)  # L^-1 s_A, the first half of the direction's solve
@@ -356,7 +355,6 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             _chol_delete(P, k, pos)
             dropped = (j, sgn[pos])
             active = active[:pos] + active[pos + 1 :]
-            is_active[j] = False
             # the dropped slot moves to k - 1, where the full Gram keeps it
             for buf in (sgn, beta, G.T, order):
                 _slot_to_end(buf, pos, k)
@@ -375,7 +373,6 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
                 order[k], order[s] = order[s], order[k]
             row = _chol_append(P, k, G[j, :k], col_sq[j], j)
             active += (j,)
-            is_active[j] = True
             sgn[k] = 1.0 if c[j] > 0 else -1.0
             beta[k] = 0.0
             # the new entry of w: the last step of tpsv's forward solve (a dot
@@ -418,9 +415,10 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
             stopping, lambda_min_valid = "full_path", 0.0
             break
         # within the tie window a drop goes first, then the lowest index
-        near = np.flatnonzero(level >= cand_lam - _tie(cand_lam)).tolist()
-        drops = [v for v in near if is_active[v]]
-        kind, j = ("drop", drops[0]) if drops else ("add", near[0])
+        lo = cand_lam - _tie(cand_lam)
+        drops = order[:k][level[order[:k]] >= lo]
+        kind = "drop" if drops.size else "add"
+        j = int(drops.min() if drops.size else np.flatnonzero(level >= lo)[0])
         if cand_lam <= lambda_floor:
             stopping, lambda_min_valid = "lambda_floor", lambda_floor
             break

@@ -50,6 +50,7 @@ from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob
 from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
 
 _RESIDUAL_TOL = 1e-10
+_TPP_WINDOW = (0.01, 0.99)  # the TPP range tradeoff_curve samples, where achievable
 # Usable range of theta = 1/tau hints.  The bracket walk itself is bounded by
 # its step count (8**40 either way), not by a range: atom magnitudes of 1e15
 # and beyond push the solution theta far below 1e-14.
@@ -345,15 +346,8 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
 
     if theta_hint is not None and _THETA_MIN < theta_hint < _THETA_MAX:
         center = theta_hint
-    else:
-        try:  # sigma or atoms beyond ~1.3e154 overflow the square
-            with np.errstate(over="ignore"):
-                scale = math.sqrt(shape.sigma**2 + prior.second_moment() / shape.delta)
-        except OverflowError:
-            scale = math.inf
-        if not math.isfinite(scale):  # hypot factors out max|v| instead
-            terms = prior.values * np.sqrt(prior.probs / shape.delta)
-            scale = math.hypot(shape.sigma, *terms)
+    else:  # hypot factors out the largest term, so sigma or atoms past 1e154 do not overflow
+        scale = math.hypot(shape.sigma, *(prior.values * np.sqrt(prior.probs / shape.delta)))
         center = 1.0 / scale if scale > 0 else 1.0
     # The residual is exactly 0 over long stretches where it saturates, so
     # each walk stops at the first point not strictly on its starting side.
@@ -501,6 +495,11 @@ class _CurveSolver:
     def lam(self, alpha):
         return _lambda_given_tau(self.prior, alpha, self.shape, self.tau(alpha))
 
+    @cached_property
+    def alpha_lo(self):
+        """``feasible_alpha_lo()``, found once per solver."""
+        return self.feasible_alpha_lo()
+
     def feasible_alpha_lo(self):
         """Smallest usable alpha: ``start``, just above the floor, pushed up to
         where the calibrated penalty becomes positive (the penalty cut)."""
@@ -530,7 +529,7 @@ class _CurveSolver:
     def alpha_at_tpp(self, target):
         """Threshold at which the TPP equals ``target``.
 
-        TPP falls as alpha rises from ``feasible_alpha_lo``.  A lower target
+        TPP falls as alpha rises from ``alpha_lo``.  A lower target
         is reached by ``walk_up``; a higher one, where the penalty cut does
         not bind, by shrinking the gap to the floor by factors of 64 down to
         the resolution of alpha (as alpha falls to the noiseless floor, TPP
@@ -539,7 +538,7 @@ class _CurveSolver:
         ``InfeasibleRegionError`` where the point found misses the target by
         more than 1e-9, and where the penalty cut binds below the target.
         """
-        a_min = end = self.feasible_alpha_lo()
+        a_min = end = self.alpha_lo
         if target <= self.tpp(a_min):
             end = self.walk_up(a_min, target)
             if self.tpp(end) > target:
@@ -573,48 +572,38 @@ class _CurveSolver:
         return alpha
 
 
-def tradeoff_curve(prior, shape, n_points, tpp_lo=0.01, tpp_hi=0.99):
+def tradeoff_curve(prior, shape, n_points):
     """Sample the instance-specific trade-off curve on an even TPP grid.
 
-    The requested [tpp_lo, tpp_hi] window is intersected with the achievable
-    TPP range for this prior/shape (the upper end is limited by the penalty
-    cut where the calibrated penalty reaches zero), and each target is solved
-    by ``_CurveSolver.alpha_at_tpp``.  Returns a ``TradeoffCurve`` ordered by
-    increasing TPP with at least two points.
+    The grid spans the fixed window [0.01, 0.99] intersected with the
+    achievable TPP range for this prior/shape (the upper end is limited by the
+    penalty cut where the calibrated penalty reaches zero), and each target is
+    solved by ``_CurveSolver.alpha_at_tpp``.  Returns a ``TradeoffCurve``
+    ordered by increasing TPP with at least two points.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    if not 0.0 < tpp_lo < tpp_hi < 1.0:
-        raise ValueError(f"need 0 < tpp_lo < tpp_hi < 1, got ({tpp_lo}, {tpp_hi})")
     solver = _CurveSolver(prior, shape)
-    a_min = solver.feasible_alpha_lo()
-    u_max_ach = solver.tpp(a_min)
-    u_min_ach = solver.tpp(solver.walk_up(a_min, tpp_lo))
-
-    lo = max(tpp_lo, u_min_ach + 1e-12)
-    hi = min(tpp_hi, u_max_ach - 1e-12)
+    u_max_ach = solver.tpp(solver.alpha_lo)
+    u_min_ach = solver.tpp(solver.walk_up(solver.alpha_lo, _TPP_WINDOW[0]))
+    lo = max(_TPP_WINDOW[0], u_min_ach + 1e-12)
+    hi = min(_TPP_WINDOW[1], u_max_ach - 1e-12)
     if not lo < hi:
         raise InfeasibleRegionError(
             f"achievable TPP range ({u_min_ach:.4f}, {u_max_ach:.4f}) does not "
-            f"meet the requested window ({tpp_lo}, {tpp_hi})"
+            f"meet the window {_TPP_WINDOW}"
         )
-    out_alpha = np.array([solver.alpha_at_tpp(u) for u in np.linspace(lo, hi, n_points)])
-
-    tpps = np.empty(n_points)
-    fdps = np.empty(n_points)
-    lams = np.empty(n_points)
-    taus = np.empty(n_points)
-    for i, a in enumerate(out_alpha):
-        tau = solver.tau(a)
-        tpps[i], fdps[i] = _tradeoff_given_tau(prior, a, shape, tau)
-        lams[i] = _lambda_given_tau(prior, a, shape, tau)
-        taus[i] = tau
+    alphas = np.array([solver.alpha_at_tpp(u) for u in np.linspace(lo, hi, n_points)])
+    taus = np.array([solver.tau(a) for a in alphas])
+    tpps = np.array([solver.tpp(a) for a in alphas])
+    fdps = np.array([_fdp_at(a, u, shape.epsilon) for a, u in zip(alphas, tpps)])
+    lams = _penalty_factor(alphas, tpps, shape) * alphas * taus
 
     order = np.argsort(tpps)
     return TradeoffCurve(
         tpp=tpps[order],
         fdp=fdps[order],
-        alpha=out_alpha[order],
+        alpha=alphas[order],
         lam=lams[order],
         tau=taus[order],
         prior=prior,
@@ -630,6 +619,5 @@ def tradeoff_at_tpp(prior, shape, tpp):
         raise InfeasibleRegionError(f"TPP = {tpp} outside the achievable range (0, 1]")
     solver = _CurveSolver(prior, shape)
     alpha = solver.alpha_at_tpp(tpp)
-    tau = solver.tau(alpha)
-    u, q = _tradeoff_given_tau(prior, alpha, shape, tau)
-    return u, q, alpha, tau
+    u = solver.tpp(alpha)
+    return u, _fdp_at(alpha, u, shape.epsilon), alpha, solver.tau(alpha)

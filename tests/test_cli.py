@@ -1,9 +1,16 @@
-"""End-to-end command line tests (subprocess, CSV outputs, exit codes)."""
+"""End-to-end command line tests (CSV outputs, streams, exit codes).
 
+Commands run in this process through ``cli.main``; the import-hygiene tests
+start their own interpreters, as does each gnuplot case in ``test_golden``.
+"""
+
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,15 +39,16 @@ TINY_RANK_CONFIG = {
 
 
 def run_cli(args, outdir=None):
-    env = dict(os.environ)
-    if outdir is not None:
-        env["LASSOCRESCENT_OUTDIR"] = str(outdir)
-    return subprocess.run(
-        [sys.executable, "-m", "lassocrescent.cli"] + args,
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    """Exit code and captured streams of ``cli.main(args)``, with
+    ``$LASSOCRESCENT_OUTDIR`` set to ``outdir`` when given."""
+    out, err = io.StringIO(), io.StringIO()
+    env = {} if outdir is None else {"LASSOCRESCENT_OUTDIR": str(outdir)}
+    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse refusing the command line
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def read_table(path):

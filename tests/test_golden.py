@@ -9,28 +9,33 @@ refactors.  ``path_drops.csv`` was re-captured when a drop's Cholesky update
 changed from Givens rotations to a closed-form rank-one update, which moved
 its lambda column at rounding level (no event changed).
 Every file a run writes next to its CSV (such as ``.touching.csv``) is
-compared too.  ``golden/gnuplot/`` pins, for one case of each command, the
-``--gnuplot`` script and the paths the run prints; those runs write into their
-working directory through a relative ``--out``, so the script names no
-machine-specific directory.  To rewrite them after a deliberate change of the
-numbers, run ``python tests/test_golden.py [NAME ...]`` (with the package
-importable) and state the change: it rewrites the named cases, such as
-``path_drops.csv``, and with no name every case, and prints for each numeric
-column of each rewritten CSV its largest absolute and relative change.
+compared too.  The cases run ``cli.main`` in this process.  ``golden/gnuplot/``
+pins, for one case of each command, the ``--gnuplot`` script and the paths the
+run prints; those runs start ``python -m lassocrescent.cli`` in their working
+directory with a relative ``--out``, so the script names no machine-specific
+directory and every command's module entry point runs once.  To rewrite them
+after a deliberate change of the numbers, run
+``python tests/test_golden.py [NAME ...]`` (with the package importable) and
+state the change: it rewrites the named cases, such as ``path_drops.csv``, and
+with no name every case, and prints for each numeric column of each rewritten
+CSV its largest absolute and relative change.
 """
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lassocrescent
+from lassocrescent.cli import main
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 GNUPLOT_DIR = GOLDEN_DIR / "gnuplot"
@@ -125,13 +130,14 @@ def outputs(directory, name):
 
 
 def run_case(name, jobs, outdir):
+    """The files that ``cli.main`` writes for case ``name``, run in this process."""
     args, _ = CASES[name]
     out = Path(outdir) / name
     args = args + ["--out", str(out)] + ([] if jobs is None else ["--jobs", str(jobs)])
-    res = subprocess.run(
-        [sys.executable, "-m", "lassocrescent.cli"] + args, capture_output=True, text=True
-    )
-    assert res.returncode == 0, res.stderr
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(args)
+    assert code == 0, err.getvalue()
     return outputs(outdir, name)
 
 

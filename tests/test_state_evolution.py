@@ -430,6 +430,21 @@ def test_feasible_alpha_lo_grows_to_positive_penalty():
         solver.feasible_alpha_lo()
 
 
+def test_curve_solver_finds_its_penalty_cut_once(monkeypatch):
+    # the cut binds on both curves, and their 97 and 31 targets all start
+    # from it: each solver finds it once
+    solvers = []
+    find = _CurveSolver.feasible_alpha_lo
+    monkeypatch.setattr(
+        _CurveSolver, "feasible_alpha_lo", lambda self: solvers.append(self) or find(self)
+    )
+    assert len(crescent(ModelShape(delta=0.5, epsilon=0.2), n_points=99)) == 97
+    prior = DiscretePrior.from_levels(0.1, (1.0, 3.0, -8.0))  # golden curve_sigma05.csv
+    assert len(tradeoff_curve(prior, ModelShape(0.5, 0.1, 0.5), 30).tpp) == 30
+    assert len(solvers) == 2
+    assert all(s.alpha_lo > s.start for s in solvers)
+
+
 def test_tradeoff_curve_monotone():
     curve = tradeoff_curve(PRIOR1, SHAPE, 25)
     assert len(curve.tpp) == 25
