@@ -403,37 +403,21 @@ def solve_alpha_given_lambda(prior, lam, shape):
     """Invert the lambda calibration: find alpha with lambda(alpha) = lam.
 
     lambda(alpha) is strictly increasing on the admissible range, tending to 0
-    (or below) at the lower end and to infinity with alpha, so the root is
-    bracketed by geometric expansion.  Raises ``InfeasibleRegionError`` with
-    the achievable lambda range if ``lam`` cannot be attained.
+    (or below) at the lower end and to infinity with alpha; the root is found
+    by ``_CurveSolver.alpha_at_lambda``.  Raises ``InfeasibleRegionError``
+    with the achievable lambda range if ``lam`` cannot be attained.
     """
-    _require_matching_sparsity(prior, shape)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
-    floor = admissible_alpha_lower(prior, shape)
-
-    def lam_at(a):
-        return lambda_of_alpha(prior, a, shape)
-
-    walk = _bracket_walk(
-        floor + max(1e-6, 1e-6 * floor),
-        lambda a: floor + (a - floor) / 8.0,
-        lambda a: lam_at(a) >= lam,
-    )
-    if walk is None:
+    solver = _CurveSolver(prior, shape)
+    alpha = solver.alpha_at_lambda(lam)
+    if alpha is None and solver.lam(solver.start) > lam:
         raise InfeasibleRegionError(
-            f"lambda = {lam} is below the achievable range near alpha = {floor:.6g}"
+            f"lambda = {lam} is below the achievable range near alpha = {solver.floor:.6g}"
         )
-    a_lo = walk[1]
-    walk = _bracket_walk(
-        max(2.0 * a_lo, 1.0), lambda a: 2.0 * a, lambda a: lam_at(a) <= lam, prev=a_lo
-    )
-    if walk is None:
+    if alpha is None:
         raise InfeasibleRegionError(f"lambda = {lam} exceeds the achievable range")
-    a_lo, a_hi = walk
-    alpha = brentq(lambda a: lam_at(a) - lam, a_lo, a_hi, xtol=1e-13, rtol=8.9e-16)
-    tau = solve_tau_given_alpha(prior, alpha, shape)
-    return StateEvolutionPoint(alpha=alpha, tau=tau, lam=lam, shape=shape)
+    return StateEvolutionPoint(alpha=alpha, tau=solver.tau(alpha), lam=lam, shape=shape)
 
 
 def tradeoff_point(prior, alpha, shape):
@@ -503,18 +487,29 @@ class _CurveSolver:
     def feasible_alpha_lo(self):
         """Smallest usable alpha: ``start``, just above the floor, pushed up to
         where the calibrated penalty becomes positive (the penalty cut)."""
-        a = self.start
-        if self.lam(a) > 0.0:
-            return a
-        walk = _bracket_walk(
-            max(2.0 * a, 1.0), lambda x: 2.0 * x, lambda x: self.lam(x) <= 0.0, prev=a
-        )
-        if walk is None:
+        if self.lam(self.start) > 0.0:
+            return self.start
+        root = self.alpha_at_lambda(0.0)
+        if root is None:
             raise InfeasibleRegionError(
                 f"calibrated penalty never becomes positive for {self.shape}"
             )
-        root = brentq(self.lam, *walk, xtol=1e-13, rtol=8.9e-16)
         return root + max(1e-9, 1e-9 * root)
+
+    def alpha_at_lambda(self, target):
+        """Threshold at which the calibrated penalty equals ``target``, or None
+        where no bracket is found: from ``start`` the gap to the floor shrinks
+        by factors of 8 while the penalty is above the target, else alpha doubles."""
+        a, floor, lam = self.start, self.floor, self.lam
+        if lam(a) > target:
+            walk = _bracket_walk(a, lambda x: floor + (x - floor) / 8.0, lambda x: lam(x) > target)
+        else:
+            walk = _bracket_walk(
+                max(2.0 * a, 1.0), lambda x: 2.0 * x, lambda x: lam(x) <= target, prev=a
+            )
+        if walk is None:
+            return None
+        return brentq(lambda x: lam(x) - target, *sorted(walk), xtol=1e-13, rtol=8.9e-16)
 
     def walk_up(self, a_min, tpp):
         """Walk alpha up from max(4 a_min, 4) by factors of 1.5 to the first
