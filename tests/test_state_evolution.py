@@ -334,11 +334,11 @@ def test_solve_alpha_given_lambda_roundtrip():
     assert lambda_of_alpha(PRIOR1, pt.alpha, SHAPE) == pytest.approx(0.5, abs=1e-10)
     assert pt.lam == pytest.approx(0.5, abs=1e-10)
     assert pt.tau == pytest.approx(solve_tau_given_alpha(PRIOR1, pt.alpha, SHAPE), abs=1e-12)
-    # lambda(alpha) stays above 0.21 just over the floor, so the lower end
-    # has to shrink toward the floor twice before it brackets the root
+    # lambda(alpha) stays above 0.21 just over the floor, so the gap to the
+    # floor has to shrink once before it brackets the root
     pt = solve_alpha_given_lambda(PRIOR1, 0.21, SHAPE)
-    assert pt.alpha == pytest.approx(1.9880129666251507, abs=1e-12)
-    assert pt.tau == pytest.approx(0.13852581842544828, abs=1e-12)
+    assert pt.alpha == pytest.approx(1.9880129666251494, abs=1e-12)
+    assert pt.tau == pytest.approx(0.13852581835837313, abs=1e-12)
     assert all(abs(r) < 1e-10 for r in equation_residuals(PRIOR1, pt))
 
 
