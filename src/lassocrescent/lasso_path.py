@@ -74,7 +74,12 @@ _DELETE_BLOCK = 1 << 14
 
 
 class DegenerateDesignError(ValueError):
-    """The active Gram matrix lost rank (duplicate/collinear columns)."""
+    """The active Gram matrix lost rank (duplicate/collinear columns).
+
+    A ValueError (invalid input, exit code 2): only a caller-supplied design
+    with collinear columns raises it.  Generated designs are continuous,
+    genotype files are jittered, and an exact copy of an active column has no
+    entry level (see "Tie handling" above)."""
 
 
 @dataclass(frozen=True)
@@ -122,21 +127,19 @@ def _levels(a, c, lam, dropped, slots, b, d):
     sign ``dropped`` (variable, sign) at the last event, and drop levels of
     the active ``slots`` from their coefficients b and direction d.
 
-    The root of sign -1, num / (-1 - a), is exactly (lam a - c) / (1 + a).
-    A root r gives r on (0, lo), lam from lo up and -inf otherwise, a map
-    that does not decrease, so it is applied once, to the larger root.
+    Only the sign s = sign(c - lam a) can give a positive entry root,
+    |c - lam a| / (1 - s a), kept where s a < 1 - _TIE_RATE.  A root r gives
+    r on (0, lo), lam from lo up and -inf otherwise.
     """
     lo = lam - _tie(lam)
     num = c - lam * a
+    sa = np.sign(num) * a
     with np.errstate(divide="ignore", invalid="ignore"):
-        plus, minus = num / (1.0 - a), num / (-1.0 - a)
+        level = np.abs(num) / (1.0 - sa)
         drop_at = lam + b / d
-    np.putmask(plus, a >= 1.0 - _TIE_RATE, -np.inf)
-    np.putmask(minus, a <= _TIE_RATE - 1.0, -np.inf)
-    if dropped is not None:  # no same-sign re-entry right after a drop
-        jd, sd = dropped
-        (plus if sd > 0 else minus)[jd] = -np.inf
-    level = np.fmax(plus, minus, out=plus)
+    np.putmask(level, sa >= 1.0 - _TIE_RATE, -np.inf)
+    if dropped is not None and dropped[1] * num[dropped[0]] > 0.0:
+        level[dropped[0]] = -np.inf  # no same-sign re-entry right after a drop
     np.putmask(level, level >= lo, lam)
     np.putmask(level, ~(level > 0.0), -np.inf)
     level[slots] = np.where(
