@@ -277,8 +277,9 @@ def sample_design(spec, rng):
         if spec.structure == "toeplitz":  # AR(1): x_j = rho x_{j-1} + s sqrt(1 - rho^2) z_j
             z[:, 0] *= s
             z[:, 1:] *= s * math.sqrt((1.0 - rho) * (1.0 + rho))
-            for j in range(1, spec.p):
-                z[:, j] += rho * z[:, j - 1]
+            if rho:  # at rho = 0 each step would only add 0 x_{j-1}
+                for j in range(1, spec.p):
+                    z[:, j] += rho * z[:, j - 1]
             return z
         # equicorrelation: x_j = s (d_j z_j + sum_{i<j} c_i z_i), d_j and c_j in
         # closed form (a running sum of c_i^2 drifts as rho nears 1)

@@ -102,6 +102,15 @@ def test_correlated_design_matches_cholesky_draw(structure, rho, n, p):
         assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("structure", ["toeplitz", "equicorrelation"])
+def test_uncorrelated_design_is_the_iid_draw(structure):
+    # at rho = 0 the columns are independent: the iid draw, bit for bit
+    spec = DesignSpec(kind="correlated_gaussian", n=60, p=90, structure=structure)
+    X = sample_design(spec, np.random.default_rng(23))
+    ref = sample_design(DesignSpec(kind="iid_gaussian", n=60, p=90), np.random.default_rng(23))
+    assert X.tobytes() == ref.tobytes()
+
+
 class _IdentityNormals:
     """Stands in for a generator: its "normal draw" is the identity, so
     sample_design returns the scaled upper factor U itself."""
