@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lassocrescent import (
@@ -352,6 +352,32 @@ def test_solve_alpha_given_lambda_validation():
     # lambda stays near 0.16 as alpha falls to the noiseless floor
     with pytest.raises(InfeasibleRegionError, match="below the achievable"):
         solve_alpha_given_lambda(PRIOR1, 1e-4, SHAPE)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(0.2, 4.0),
+    ratio=st.floats(0.02, 0.6),
+    sigma=st.sampled_from([0.0, 0.5]),
+    rungs=st.integers(1, 4),
+    base=st.floats(1.5, 5.0),
+    gap=st.floats(-4.0, 0.5).map(lambda e: 10.0**e),
+)
+@example(delta=0.5, ratio=0.4, sigma=0.0, rungs=1, base=1.5, gap=1e-3)  # the cut binds
+@example(delta=0.5, ratio=0.2, sigma=0.5, rungs=3, base=2.0, gap=1e-3)  # here too
+def test_solve_alpha_given_lambda_returns_calibrated_points(
+    delta, ratio, sigma, rungs, base, gap
+):
+    # the penalty at a threshold above the curve solver's alpha_lo inverts to
+    # a point that solves both calibration equations.  Within ~1e-5 of the
+    # noiseless floor lambda(alpha) is steep enough that an alpha good to a
+    # few ulps leaves a lambda residual past 1e-10.
+    eps = ratio * min(delta, 1.0)
+    prior = DiscretePrior.heterogeneous(eps, rungs, base)
+    shape = ModelShape(delta=delta, epsilon=eps, sigma=sigma)
+    lam = lambda_of_alpha(prior, _CurveSolver(prior, shape).alpha_lo + gap, shape)
+    point = solve_alpha_given_lambda(prior, lam, shape)
+    assert max(map(abs, equation_residuals(prior, point))) <= 1e-10
 
 
 # --- asymptotic trade-off ---------------------------------------------------
