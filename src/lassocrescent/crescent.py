@@ -31,7 +31,9 @@ Both edges share the FDP form q = 2(1-eps)Phi(-t) / (2(1-eps)Phi(-t) + eps u).
 ``touching_points`` locates the TPP levels at which the trade-off curve of a
 geometric-ladder prior with mass split gamma touches the lower edge (in the
 limit of unbounded separation between consecutive effect sizes): one level
-per proper suffix mass of gamma, plus u = 1 where the crescent closes.
+per proper suffix mass g of gamma, plus u = 1 where the crescent closes.
+That suffix acts like a problem of sparsity g eps: its level is
+u = g + (1 - g) 2 Phi(-t), at the noiseless floor t of (delta, g eps).
 
 Like ``state_evolution``, this module imports no part of ``scipy.optimize``
 when it is loaded, so that the simulation commands, which load it through
@@ -39,6 +41,7 @@ the CLI, never pay for it: ``brentq`` is ``state_evolution.brentq``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +89,21 @@ def _lower_gap(t, u, shape):
     return n_term * (1.0 - 2.0 * normal_cdf(-t)) - (1.0 - u) * d_term
 
 
+def _check_lower_point(t, u, shape):
+    # a lower-edge point is a Lasso point, penalty factor >= 0, that solves the
+    # balance; the factor goes first, as D(0) = 0 where a floor of 0 gives t = 0
+    factor = _penalty_factor(t, u, shape)
+    if factor < 0.0:
+        raise InfeasibleRegionError(
+            f"lower-edge point t = {t:.6f} at u = {u} selects more than delta: "
+            f"penalty factor {factor:.3g} below 0 for {shape}"
+        )
+    # residual of N(t)/D(t) (1 - 2 Phi(-t)) = 1 - u, which is G(t)/D(t)
+    resid = float(_lower_gap(t, u, shape)) / (shape.epsilon * (1.0 + t * t - mse_null(t)))
+    if not abs(resid) <= _EQ_TOL:
+        raise ConvergenceError(f"lower-edge residual {resid:.2e} at u = {u}")
+
+
 def t_delta(u, shape):
     """Lower-edge threshold: largest root of the heterogeneous-limit balance.
 
@@ -125,16 +143,7 @@ def t_delta(u, shape):
             xtol=1e-13,
             rtol=8.9e-16,
         )
-    factor = _penalty_factor(root, u, shape)
-    if factor < 0.0:
-        raise InfeasibleRegionError(
-            f"lower-edge point t = {root:.6f} at u = {u} selects more than delta: "
-            f"penalty factor {factor:.3g} below 0 for {shape}"
-        )
-    # residual of N(t)/D(t) (1 - 2 Phi(-t)) = 1 - u, which is G(t)/D(t)
-    resid = float(_lower_gap(root, u, shape)) / (shape.epsilon * (1.0 + root * root - mse_null(root)))
-    if not abs(resid) <= _EQ_TOL:
-        raise ConvergenceError(f"lower-edge residual {resid:.2e} at u = {u}")
+    _check_lower_point(root, u, shape)
     return root
 
 
@@ -206,8 +215,8 @@ def crescent(shape, n_points=99):
     the lower edge, whose threshold is the larger, reaches at least as far.
     An entirely infeasible shape raises ``InfeasibleRegionError``.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be positive")
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points < 1:
+        raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
     if shape.sigma != 0.0:
         raise ValueError("crescent edges are defined for noiseless shapes (sigma = 0)")
     solver = _upper_solver(shape)
@@ -235,36 +244,35 @@ def touching_points(gamma, shape):
     ``gamma`` is the mass split over the ladder rungs (positive, summing to
     one).  In the limit of unbounded separation between rungs the curve
     touches the lower edge once per proper suffix mass g of gamma, at the
-    root of
-
-        h(u) = u - 2 Phi(-t_delta(u)) (1 - g) - g,
-
-    found by one ``brentq`` on [g, 1], where h(g) <= 0 <= h(1).
-    The full-mass suffix g = 1 gives u = 1 exactly, where the crescent
-    closes.  Returns [(u_1, q_delta(u_1)), ...] sorted by increasing u; the
-    first len(gamma) - 1 entries are interior touching levels.
+    level u = g + (1 - g) 2 Phi(-t) with t = t_delta(u), and that t is the
+    noiseless floor at sparsity g eps, so no root in u is solved.  There
+    1 - u = (1 - g)(1 - 2 Phi(-t)), so G(t, u) = 0 reduces to N(t) = (1 - g)
+    D(t), the floor equation N = 0 at sparsity g eps.  Above its largest root,
+    G(t', u) > (1 - 2 Phi(-t')) [N(t') - (1 - g) D(t')] > 0, so that root is
+    t_delta(u).  Where delta / (g eps) is not a finite double, t = inf and
+    the level is (g, 0).  The full-mass suffix g = 1 gives u = 1 exactly,
+    where the crescent closes.  Returns [(u_1, q_delta(u_1)), ...] sorted by
+    increasing u; the first len(gamma) - 1 entries are interior touching
+    levels.
     """
     gamma = [float(g) for g in gamma]
     if not gamma or any(not math.isfinite(g) or g <= 0.0 for g in gamma):
         raise ValueError("gamma must be a nonempty list of positive weights")
     if abs(sum(gamma) - 1.0) > 1e-12:
         raise ValueError(f"gamma sums to {sum(gamma)}, expected 1")
-    suffix = np.cumsum(gamma[::-1])[::-1]  # suffix[i] = gamma_i + ... + gamma_m
-
-    def h(u, g):
-        return u - 2.0 * normal_cdf(-_t_delta_or_inf(u, shape)) * (1.0 - g) - g
-
+    # suffix[i] = gamma_i + ... + gamma_m, as floats, whose overflow never warns
+    suffix = np.cumsum(gamma[::-1])[::-1].tolist()
     points = []
     for g in suffix:
         if g >= 1.0 - 1e-15:
-            u = 1.0
-        else:
-            u = brentq(h, g, 1.0, args=(g,), xtol=1e-13, rtol=8.9e-16)
-            resid = h(u, g)
-            if abs(resid) > _EQ_TOL:
-                raise ConvergenceError(
-                    f"touching-point residual {resid:.2e} at suffix mass {g}"
-                )
-        points.append((float(u), q_delta(u, shape)))
+            points.append((1.0, q_delta(1.0, shape)))
+            continue
+        ge = g * shape.epsilon
+        finite = ge > 0.0 and math.isfinite(shape.delta / ge)
+        t = noiseless_alpha_floor(ModelShape(shape.delta, ge)) if finite else math.inf
+        u = float(g + (1.0 - g) * 2.0 * normal_cdf(-t))
+        if finite:
+            _check_lower_point(t, u, shape)
+        points.append((u, _fdp_at(t, u, shape.epsilon)))
     points.sort(key=lambda p: p[0])
     return points

@@ -39,6 +39,7 @@ which keeps that name because ``perfbench/tracing.py`` wraps it.
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -267,16 +268,13 @@ def _null_excess(alpha, shape):
 @lru_cache(maxsize=256)
 def _noiseless_floor_cached(delta, epsilon):
     shape = ModelShape(delta=delta, epsilon=epsilon, sigma=0.0)
-    # N(a) >= eps > 0 at a^2 = delta/eps, so the scan ends above the largest root
-    hi = max(60.0, math.sqrt(delta / epsilon))
-    if not math.isfinite(hi):  # delta/eps overflows
-        raise ConvergenceError(f"noiseless floor search failed: scan cap {hi} for {shape}")
-    grid = np.linspace(0.0, hi, 2401)
+    grid = np.linspace(0.0, 60.0, 2401)
     vals = _null_excess(grid, shape)
     if vals[-1] <= 0.0:
-        raise ConvergenceError(
-            f"noiseless floor search failed: N({hi}) = {vals[-1]} <= 0 for {shape}"
-        )
+        root = math.sqrt(delta / epsilon - 1.0)
+        if not math.isfinite(root):
+            raise ConvergenceError(f"noiseless floor sqrt(delta/eps - 1) overflows for {shape}")
+        return root
     neg = np.nonzero(vals < 0.0)[0]
     if len(neg) == 0:
         return 0.0
@@ -289,7 +287,10 @@ def noiseless_alpha_floor(shape):
 
     With sigma = 0 the first calibration equation is solvable exactly for
     alpha above this floor; as alpha decreases to it, tau -> 0 and the
-    asymptotic TPP increases to 1.
+    asymptotic TPP increases to 1.  The root is bracketed on a fixed scan of
+    [0, 60]; where N(60) <= 0 it lies above 60, where N(alpha) = eps (1 +
+    alpha^2) - delta in double, and is sqrt(delta/eps - 1).  Raises
+    ``ConvergenceError`` only where delta/eps overflows.
     """
     return _noiseless_floor_cached(shape.delta, shape.epsilon)
 
@@ -576,8 +577,8 @@ def tradeoff_curve(prior, shape, n_points):
     solved by ``_CurveSolver.alpha_at_tpp``.  Returns a ``TradeoffCurve``
     ordered by increasing TPP with at least two points.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points < 2:
+        raise ValueError(f"n_points must be an integer of at least 2, got {n_points!r}")
     solver = _CurveSolver(prior, shape)
     u_max_ach = solver.tpp(solver.alpha_lo)
     u_min_ach = solver.tpp(solver.walk_up(solver.alpha_lo, _TPP_WINDOW[0]))

@@ -303,8 +303,8 @@ def t_nabla_scan(u, delta, eps, step=0.01, a_max=12.0, recheck_every=25):
 
 
 def touching_points_iteration(gamma, shape):
-    """``touching_points`` as it was before it solved one bracketed root per
-    suffix mass g: each interior level by damped fixed-point iteration of
+    """Reference for ``touching_points``' closed form (the noiseless floor at
+    sparsity g eps): each interior level by damped fixed-point iteration of
     u <- 2 Phi(-t_delta(u)) (1 - g) + g (damping 1/2, at most 200 steps),
     with the library's t_delta.  gamma is taken as valid."""
     suffix = np.cumsum(gamma[::-1])[::-1]

@@ -272,6 +272,18 @@ def test_curve_sigma_beyond_square_overflow(tmp_path):
     np.testing.assert_allclose(big["tau"], small["tau"] * 1e200, rtol=1e-9)
 
 
+def test_curve_at_tiny_epsilon_is_infeasible(tmp_path):
+    # the noiseless floor sqrt(delta/eps - 1) ~ 1.8e8 is found, and the curve's
+    # TPP range misses the window: infeasible (exit 3), not a solver failure
+    prior = {"kind": "homogeneous", "epsilon": 3e-15, "magnitude": 1}
+    res = run_cli(
+        ["curve", "--delta", "100", "--epsilon", "3e-15", "--prior", json.dumps(prior)],
+        outdir=tmp_path,
+    )
+    assert res.returncode == 3, res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curve_requires_valid_prior(tmp_path):
     res = run_cli(
         ["curve", "--delta", "1", "--epsilon", "0.2"], outdir=tmp_path

@@ -1,6 +1,7 @@
 """Crescent edge curves, their defining equations, and touching levels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,8 +280,10 @@ def test_crescent_fully_infeasible_raises():
 
 
 def test_crescent_validation():
-    with pytest.raises(ValueError):
-        crescent(SHAPE, n_points=0)
+    for n_points in (0, 2.5, True, 3.0):
+        with pytest.raises(ValueError):
+            crescent(SHAPE, n_points=n_points)
+    assert len(crescent(SHAPE, n_points=np.int64(3))) == 3
     with pytest.raises(ValueError):
         crescent(ModelShape(delta=1.0, epsilon=0.2, sigma=0.5), n_points=9)
 
@@ -318,8 +321,10 @@ def test_touching_points_fixed_point_property():
     # matching suffix mass g; points come back sorted by u, i.e. by g
     masses = sorted(np.cumsum(gamma[::-1]))
     for (u, q), g in zip(pts[:-1], masses[:-1]):
-        tail = normal_cdf(-t_delta(u, SHAPE))
-        assert u == pytest.approx(2.0 * tail * (1.0 - g) + g, abs=1e-9)
+        t = t_delta(u, SHAPE)
+        assert u == pytest.approx(2.0 * normal_cdf(-t) * (1.0 - g) + g, abs=1e-9)
+        # the level's threshold is the noiseless floor at sparsity g eps
+        assert t == pytest.approx(noiseless_alpha_floor(ModelShape(1.0, g * 0.2)), abs=1e-9)
         assert q == pytest.approx(q_delta(u, SHAPE), abs=1e-12)
     # interior levels sit close to the even grid their suffix masses suggest
     assert us[:-1] == pytest.approx([0.2, 0.4, 0.6, 0.8], abs=6e-3)
@@ -350,13 +355,23 @@ def test_touching_points_tiny_suffix_masses():
     assert len(us) == 5
     assert np.all(np.diff(us) > 0)
     assert us[-1] == 1.0
+    # subnormal suffix masses: delta / (g eps) overflows, or g eps underflows
+    # to 0, so the level is (g, 0) with no warning raised
+    half = touching_points([0.5, 0.5], SHAPE)[0]
+    top = (1.0, q_delta(1.0, SHAPE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert touching_points([1 - 1e-300, 1e-300], SHAPE) == [(1e-300, 0.0), top]
+        assert touching_points([0.5, 0.5 - 1e-310, 1e-310], SHAPE) == [(1e-310, 0.0), half, top]
+        assert touching_points([1 - 5e-324, 5e-324], SHAPE) == [(5e-324, 0.0), top]
 
 
 def test_touching_points_match_the_damped_iteration():
-    # 200 random shapes and 2-5 rung ladders: each interior level is one
-    # bracketed root of h(u) = u - 2 Phi(-t_delta(u)) (1 - g) - g on [g, 1],
-    # checked against the damped fixed-point iteration; where it solves, h
-    # crosses zero once upward on a 64-point grid, so the root is unique
+    # 200 random shapes and 2-5 rung ladders: each interior level, read from
+    # the noiseless floor at sparsity g eps, is checked against the damped
+    # fixed-point iteration; where it solves, h(u) = u - 2 Phi(-t_delta(u))
+    # (1 - g) - g crosses zero once upward on a 64-point grid of [g, 1], so
+    # the level is the only one
     rng = np.random.default_rng(2020)
     raised = 0
     for _ in range(200):

@@ -170,7 +170,12 @@ def test_noiseless_alpha_floor():
     assert f == pytest.approx(math.sqrt(3999.0), rel=1e-12)
     above = f + np.geomspace(1e-6, f, 30)
     assert np.all(0.999 * mse_null(above) + 1e-3 * (1.0 + above**2) > 4.0)
-    # where delta/eps overflows the scan cannot end above the root
+    # eps below ~1e-14 delta, where eps (1 + delta/eps) - delta rounds to <= 0:
+    # the floor is still sqrt(delta/eps - 1)
+    for delta, eps in ((1.0, 1e-16), (4.0, 3e-16), (10.0, 1e-15)):
+        f = noiseless_alpha_floor(ModelShape(delta=delta, epsilon=eps, sigma=0.0))
+        assert f == pytest.approx(math.sqrt(delta / eps - 1.0), rel=1e-15)
+    # where delta/eps overflows the floor is not a finite double
     with pytest.raises(ConvergenceError):
         noiseless_alpha_floor(ModelShape(delta=4.0, epsilon=1e-310, sigma=0.0))
 
@@ -495,8 +500,10 @@ def test_tradeoff_curve_truncates_above_phase_transition():
 
 
 def test_tradeoff_curve_needs_two_points():
-    with pytest.raises(ValueError):
-        tradeoff_curve(PRIOR1, SHAPE, 1)
+    for n_points in (1, 2.5, True, 3.0):
+        with pytest.raises(ValueError):
+            tradeoff_curve(PRIOR1, SHAPE, n_points)
+    assert len(tradeoff_curve(PRIOR1, SHAPE, np.int64(3)).tpp) == 3
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
