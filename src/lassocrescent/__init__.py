@@ -12,7 +12,7 @@ The package has two halves that cross-validate each other:
 
 __version__ = "0.1.0"
 
-from .errors import ConvergenceError, DivergingRootError, InfeasibleRegionError
+from .errors import ConvergenceError, InfeasibleRegionError
 from .gauss import (
     excess_prob,
     mse_null,
@@ -45,6 +45,7 @@ from .crescent import (
     t_delta,
     t_nabla,
     touching_points,
+    u_star,
     varsigma,
 )
 from .lasso_path import (

@@ -5,14 +5,20 @@ asymptotic TPP/FDP pairs of the Lasso sweep out a crescent-shaped region.
 This module computes both edges as parametric curves in the TPP level u:
 
 * lower edge ``q_delta``: attained in the limit of maximally heterogeneous
-  (infinitely spread-out) effect sizes.  Its threshold parameter t_delta(u)
-  is the largest root of a rational balance between the null risk excess
+  (infinitely spread-out) effect sizes.  Its threshold t_delta(u) solves a
+  balance between the null risk excess
 
       N(t) = (1-eps) mse_null(t) + eps (1 + t^2) - delta
 
-  and the signal-capacity margin D(t) = eps[(1 + t^2) - mse_null(t)]:
-
-      N(t) / D(t) = (1 - u) / (1 - 2 Phi(-t)).
+  and the signal-capacity margin D(t) = eps[(1 + t^2) - mse_null(t)],
+  G(t, u) = N(t)(1 - 2 Phi(-t)) - (1 - u) D(t) = 0.  G is linear in u, so
+  the edge is the closed-form curve u(t) = 1 - N(t)(1 - 2 Phi(-t)) / D(t).
+  On t >= t_cut, where its point selects at most delta (penalty factor
+  >= 0), u(t) falls from u(t_cut) toward 0, and t_delta inverts it there.
+  t_cut is the noiseless floor, where u = 1, unless the penalty factor is
+  below 0 there (delta < 1 past the phase transition, where the floor is
+  0); then the edge ends at Su, Bogdan & Candes's (2017) largest achievable
+  TPP u*(delta, eps) < 1 (``u_star``).
 
 * upper edge ``q_nabla``: attained by homogeneous (single effect size)
   priors, whose noiseless trade-off curve does not depend on the magnitude.
@@ -43,10 +49,11 @@ the CLI, never pay for it: ``brentq`` is ``state_evolution.brentq``.
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergingRootError, InfeasibleRegionError
+from .errors import ConvergenceError, InfeasibleRegionError
 # Unchecked kernels and solver helpers, bound to the names that
 # perfbench/tracing.py wraps: it patches each of them, called here or not
 from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob
@@ -56,7 +63,6 @@ from .state_evolution import _fdp_at, _penalty_factor
 from .state_evolution import alpha_min, brentq, noiseless_alpha_floor
 
 _T_MAX = 60.0
-_SCAN_STEP = 0.05
 _EQ_TOL = 1e-9
 
 
@@ -67,7 +73,8 @@ class CrescentPoint:
     ``t_delta`` is +inf (with q_delta = 0) only where delta / (u eps)
     overflows, so the lower-edge root is not a finite double; all finite
     parameters satisfy their defining equations to within 1e-9.  Both points
-    are Lasso points, with penalty lambda >= 0.
+    are Lasso points, with penalty lambda >= 0, so u is at most
+    ``u_star(shape)``, where the lower edge ends.
     """
 
     u: float
@@ -78,15 +85,50 @@ class CrescentPoint:
     q_nabla: float
 
 
-def _lower_gap(t, u, shape):
-    # G(t) = N(t)(1 - 2 Phi(-t)) - (1-u) D(t); largest root = t_delta(u).
-    # G -> +inf with t, and multiplying through by D(t) > 0 keeps the root set.
-    t = np.asarray(t, dtype=float)
+def _lower_u(t, shape):
+    # u(t) = 1 - N(t)(1 - 2 Phi(-t)) / D(t), the level whose balance t solves
+    # (G(t, u) is linear in u), as (D - N + 2 N Phi(-t)) / D with
+    # D - N = delta - mse_null: 1 - N/D would cancel, and small levels far
+    # out would lose their relative precision
+    if t == 0.0:  # D(0) = 0 = 1 - 2 Phi(0): the limit t -> 0+
+        return 1.0 - (1.0 - shape.delta) / (2.0 * shape.epsilon)
     mn = mse_null(t)
-    one_plus = 1.0 + np.square(t)
+    one_plus = 1.0 + t * t
     n_term = (1.0 - shape.epsilon) * mn + shape.epsilon * one_plus - shape.delta
     d_term = shape.epsilon * (one_plus - mn)
-    return n_term * (1.0 - 2.0 * normal_cdf(-t)) - (1.0 - u) * d_term
+    return float((shape.delta - mn + 2.0 * n_term * normal_cdf(-t)) / d_term)
+
+
+@lru_cache(maxsize=256)
+def _lower_end_cached(delta, epsilon):
+    # (t_cut, u(t_cut)): the lower edge is u(t) on [t_cut, inf), where u <= 1
+    # (t above the noiseless floor) and the penalty factor along u(t) is >= 0.
+    # At the floor u = 1, and the factor there, 1 - (eps + 2(1-eps) Phi(-t)) /
+    # delta, is >= 1 - 1/delta.  Where it is below 0 (delta < 1 past the phase
+    # transition, where the floor is 0 and the factor tends to
+    # (delta - 1) / (2 delta) as t -> 0+), it is 1 - 1/3601 > 0 at t = 60, and
+    # t_cut is its one root between
+    shape = ModelShape(delta, epsilon)
+    floor = noiseless_alpha_floor(shape)
+    if _penalty_factor(floor, 1.0, shape) >= 0.0:
+        return floor, 1.0
+    factor = lambda t: _penalty_factor(t, _lower_u(t, shape), shape)
+    cut = brentq(factor, floor, _T_MAX, xtol=1e-15, rtol=8.9e-16)
+    return cut, _lower_u(cut, shape)
+
+
+def u_star(shape):
+    """Largest TPP level on the lower edge, where it ends.
+
+    This is u(t_cut), the level at the smallest threshold t_cut at which the
+    lower edge's point selects at most delta (penalty factor >= 0).  It is 1
+    for delta >= 1 and below the phase transition, and otherwise Su, Bogdan
+    & Candes's (2017) largest achievable TPP
+    u* = 1 - (1 - delta)(eps - eps*) / (eps (1 - eps*)), where eps* is the
+    phase-transition sparsity.  ``t_delta`` raises above it; at u* < 1
+    itself the factor is 0 to rounding, and may round below it.
+    """
+    return _lower_end_cached(shape.delta, shape.epsilon)[1]
 
 
 def _check_lower_point(t, u, shape):
@@ -98,61 +140,43 @@ def _check_lower_point(t, u, shape):
             f"lower-edge point t = {t:.6f} at u = {u} selects more than delta: "
             f"penalty factor {factor:.3g} below 0 for {shape}"
         )
-    # residual of N(t)/D(t) (1 - 2 Phi(-t)) = 1 - u, which is G(t)/D(t)
-    resid = float(_lower_gap(t, u, shape)) / (shape.epsilon * (1.0 + t * t - mse_null(t)))
+    # residual of the balance, u(t) - u = -G(t, u) / D(t)
+    resid = _lower_u(t, shape) - u
     if not abs(resid) <= _EQ_TOL:
         raise ConvergenceError(f"lower-edge residual {resid:.2e} at u = {u}")
 
 
 def t_delta(u, shape):
-    """Lower-edge threshold: largest root of the heterogeneous-limit balance.
+    """Lower-edge threshold: the t >= t_cut at which u(t) = u.
 
-    Scans downward from t = 60 in steps of 0.05 for a sign change, then
-    bisects.  A root above 60 has the closed form sqrt(delta/(u eps) - 1).
-    Raises ``DivergingRootError`` when delta/(u eps) overflows (u small
-    enough that the root is not a finite double) and
-    ``InfeasibleRegionError`` when no root exists in (0, 60] or when the
-    root's penalty factor 1 - (eps u + 2(1-eps) Phi(-t)) / delta is below 0:
-    its point selects more than delta, so it is no Lasso point.
+    The balance G(t, u) = N(t)(1 - 2 Phi(-t)) - (1 - u) D(t) is linear in u,
+    so the lower edge is the curve u(t) = 1 - N(t)(1 - 2 Phi(-t)) / D(t).  It
+    falls from u(t_cut) = ``u_star(shape)`` toward 0 as t grows, and one
+    ``brentq`` on [t_cut, 60] inverts it.  Past t = 60, u(t) = delta /
+    (eps (1 + t^2)) in double, whose root is sqrt(delta/(u eps) - 1); where
+    that is not a finite double, t = inf.  Raises ``InfeasibleRegionError``
+    for u above ``u_star(shape)``, where no point of the edge selects at
+    most delta.
     """
     if not (0.0 < u <= 1.0):
         raise ValueError(f"u must lie in (0, 1], got {u!r}")
-    grid = np.arange(_T_MAX, _SCAN_STEP / 2.0, -_SCAN_STEP)
-    vals = _lower_gap(grid, u, shape)
-    if vals[0] < 0.0:
-        # past t = 60, Phi(-t) and mse_null(t) are 0 in double, so G(t) =
-        # u eps (1 + t^2) - delta, whose root is above 60 exactly when G(60) < 0
+    if u <= _lower_u(_T_MAX, shape):  # past t = 60: u(t) = delta / (eps (1 + t^2))
         ue = u * shape.epsilon  # 0 for a subnormal u
-        ratio = shape.delta / ue if ue > 0.0 else math.inf
-        if not math.isfinite(ratio):
-            raise DivergingRootError(
-                f"lower-edge root sqrt(delta/(u eps) - 1) overflows at u = {u} for {shape}"
-            )
-        root = math.sqrt(ratio - 1.0)
+        root = math.sqrt(shape.delta / ue - 1.0) if ue > 0.0 else math.inf
+        if root == math.inf:  # no finite double: the limit, where the FDP is 0
+            return root
     else:
-        below = np.nonzero(vals < 0.0)[0]
-        if len(below) == 0:
+        cut, top = _lower_end_cached(shape.delta, shape.epsilon)
+        if u > top:
             raise InfeasibleRegionError(
-                f"no lower-edge root in (0, {_T_MAX}] at u = {u} for {shape}"
+                f"u = {u} lies past the lower edge's end u* = {top!r} for {shape}: "
+                f"a root there selects more than delta (penalty factor below 0)"
             )
-        k = below[0]
-        root = brentq(
-            lambda t: float(_lower_gap(t, u, shape)),
-            grid[k],
-            grid[k - 1],
-            xtol=1e-13,
-            rtol=8.9e-16,
-        )
+        gap = lambda t: _lower_u(t, shape) - u
+        # at the floor, u(t_cut) = 1 may round a hair below u = 1
+        root = cut if gap(cut) <= 0.0 else brentq(gap, cut, _T_MAX, xtol=1e-15, rtol=8.9e-16)
     _check_lower_point(root, u, shape)
     return root
-
-
-def _t_delta_or_inf(u, shape):
-    # a root that overflows diverges: t = inf gives FDP 0 and tail mass 0
-    try:
-        return t_delta(u, shape)
-    except DivergingRootError:
-        return math.inf
 
 
 def q_delta(u, shape):
@@ -161,7 +185,7 @@ def q_delta(u, shape):
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     if u == 0.0:
         return 0.0
-    return _fdp_at(_t_delta_or_inf(u, shape), u, shape.epsilon)
+    return _fdp_at(t_delta(u, shape), u, shape.epsilon)
 
 
 def _upper_solver(shape):
@@ -224,7 +248,7 @@ def crescent(shape, n_points=99):
     for j in range(1, n_points + 1):
         u = j / (n_points + 1.0)
         try:
-            td = _t_delta_or_inf(u, shape)
+            td = t_delta(u, shape)
             qd = _fdp_at(td, u, shape.epsilon)
             tn, vs = t_nabla(u, shape, solver)
             qn = _fdp_at(tn, u, shape.epsilon)
@@ -251,9 +275,11 @@ def touching_points(gamma, shape):
     G(t', u) > (1 - 2 Phi(-t')) [N(t') - (1 - g) D(t')] > 0, so that root is
     t_delta(u).  Where delta / (g eps) is not a finite double, t = inf and
     the level is (g, 0).  The full-mass suffix g = 1 gives u = 1 exactly,
-    where the crescent closes.  Returns [(u_1, q_delta(u_1)), ...] sorted by
-    increasing u; the first len(gamma) - 1 entries are interior touching
-    levels.
+    where the crescent closes.  For delta < 1 past the phase transition
+    (eps > eps*) the lower edge ends below 1, at ``u_star(shape)``, so that
+    level, and with it the call, raises ``InfeasibleRegionError``.  Returns
+    [(u_1, q_delta(u_1)), ...] sorted by increasing u; the first
+    len(gamma) - 1 entries are interior touching levels.
     """
     gamma = [float(g) for g in gamma]
     if not gamma or any(not math.isfinite(g) or g <= 0.0 for g in gamma):

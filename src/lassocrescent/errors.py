@@ -12,9 +12,9 @@ well-posed input can still fail:
 * ``ConvergenceError`` -- the equations should have a solution but an
   iterative solver failed to locate it to tolerance; carries diagnostic
   context and always indicates a bug or a truly pathological instance.
-* ``DivergingRootError`` -- a root exists but is not a finite double (the
-  boundary value is then an analytic limit); callers usually catch this
-  and substitute the limit.
+
+A root that exists but is not a finite double is no error: the function
+returns its limit (``t_delta`` returns ``math.inf``, where the FDP is 0).
 """
 
 
@@ -24,7 +24,3 @@ class InfeasibleRegionError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
-
-
-class DivergingRootError(InfeasibleRegionError):
-    """The sought root lies above the finite search cap."""

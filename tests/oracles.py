@@ -20,11 +20,11 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cholesky, toeplitz
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from lassocrescent.crescent import _t_delta_or_inf, q_delta
+from lassocrescent.crescent import q_delta, t_delta
 from lassocrescent.gauss import _cdf
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -211,6 +211,29 @@ def t_delta_scan(u, delta, eps, step=1e-4, t_max=60.0):
     return brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
 
 
+def eps_star(delta):
+    """Phase-transition sparsity eps*(delta) for delta < 1: the root in eps of
+    M(eps) = delta, where M(eps) = min_t {eps (1 + t^2) + (1 - eps) mse_null(t)}
+    is the noiseless minimax risk of soft thresholding (Donoho, Maleki &
+    Montanari 2009).  The convex inner minimum is found by a bounded scalar
+    search in t, and mse_null(t) = 2[(1 + t^2) Phi(-t) - t phi(t)] is written
+    from erfc; M increases in eps, from ~0 to 1."""
+
+    def mse_null(t):
+        tail = 0.5 * math.erfc(t / math.sqrt(2.0))
+        return 2.0 * ((1.0 + t * t) * tail - t * _INV_SQRT_2PI * math.exp(-0.5 * t * t))
+
+    def risk(eps):
+        return minimize_scalar(
+            lambda t: eps * (1.0 + t * t) + (1.0 - eps) * mse_null(t),
+            bounds=(0.0, 12.0),
+            method="bounded",
+            options={"xatol": 1e-10},
+        ).fun
+
+    return brentq(lambda e: risk(e) - delta, 1e-12, 1.0 - 1e-12, xtol=1e-15, rtol=8.9e-16)
+
+
 def t_delta_grid(us, delta, eps, step=0.05, t_max=60.0, iters=48):
     """Largest lower-edge root at each level of the array us, vectorized.
 
@@ -310,7 +333,7 @@ def touching_points_iteration(gamma, shape):
     suffix = np.cumsum(gamma[::-1])[::-1]
 
     def tail(u):
-        return _cdf(-_t_delta_or_inf(u, shape))
+        return _cdf(-t_delta(u, shape))
 
     points = []
     for g in suffix:

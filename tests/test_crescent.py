@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from lassocrescent import (
     DiscretePrior,
-    DivergingRootError,
     InfeasibleRegionError,
     ModelShape,
     alpha_min,
@@ -26,10 +25,12 @@ from lassocrescent import (
     t_delta,
     t_nabla,
     touching_points,
+    u_star,
     varsigma,
 )
 
 from oracles import (
+    eps_star,
     q_form,
     t_delta_grid,
     t_delta_scan,
@@ -46,6 +47,13 @@ def _penalty(t, u, delta, eps):
     # the penalty factor 1 - P(|Pi + tau W| > t tau) / delta at threshold t and
     # TPP u; a Lasso point selects at most n variables, so it is >= 0 there
     return 1.0 - (eps * u + 2.0 * (1.0 - eps) * normal_cdf(-t)) / delta
+
+
+def _edge_level(t, delta, eps):
+    # u(t) = 1 - N(t)(1 - 2 Phi(-t)) / D(t): the level whose balance t solves
+    mn = mse_null(t)
+    n_term = (1.0 - eps) * mn + eps * (1.0 + t * t) - delta
+    return 1.0 - n_term * (1.0 - 2.0 * normal_cdf(-t)) / (eps * (1.0 + t * t - mn))
 
 
 # --- lower edge ---------------------------------------------------------------
@@ -65,18 +73,17 @@ def test_q_delta_frozen_and_form():
 
 
 def test_q_delta_small_u_root_diverges():
-    # far down the edge the threshold runs past the t = 60 scan, where the
-    # root is sqrt(delta/(u eps) - 1) and the FDP is exactly zero
+    # far down the edge the threshold runs past t = 60, where the root is
+    # sqrt(delta/(u eps) - 1) and the FDP is exactly zero
     assert t_delta(1e-4, SHAPE) == pytest.approx(math.sqrt(49999.0), rel=1e-11)  # 223.6
     assert q_delta(1e-4, SHAPE) == 0.0
     shape = ModelShape(delta=4.0, epsilon=1e-3, sigma=0.0)
     assert t_delta(0.2, shape) == pytest.approx(math.sqrt(19999.0), rel=1e-13)
     assert t_delta(0.1, shape) == pytest.approx(math.sqrt(39999.0), rel=1e-11)  # 200
     assert q_delta(0.1, shape) == 0.0
-    # only a root that is not a finite double diverges
+    # only a root that is not a finite double diverges: t_delta returns inf
     shape = ModelShape(delta=1.0, epsilon=1e-300, sigma=0.0)
-    with pytest.raises(DivergingRootError, match="overflows"):
-        t_delta(1e-10, shape)
+    assert t_delta(1e-10, shape) == math.inf
     assert q_delta(1e-10, shape) == 0.0
 
 
@@ -100,6 +107,61 @@ def test_lower_edge_refuses_points_past_the_penalty_cut():
     t = t_delta(0.5, ModelShape(delta=0.3, epsilon=0.25, sigma=0.0))
     assert t == pytest.approx(1.195159461488667, abs=1e-10)
     assert _penalty(t, 0.5, 0.3, 0.25) == pytest.approx(0.0033, abs=1e-4)
+
+
+def test_lower_edge_reaches_its_end_u_star():
+    # at (0.5, 0.2) the balance G(., u) is negative only on a window narrower
+    # than 0.05 next to the edge's end (t 0.850-0.884 at u = 0.97764): a scan
+    # in steps of 0.05 stepped over these roots and raised
+    shape = ModelShape(delta=0.5, epsilon=0.2, sigma=0.0)
+    end = u_star(shape)
+    assert end == pytest.approx(0.977838, abs=1e-6)
+    for u in (0.97764, 0.9777, 0.97783):
+        t = t_delta(u, shape)
+        assert _penalty(t, u, 0.5, 0.2) >= 0.0
+        assert abs(_edge_level(t, 0.5, 0.2) - u) <= 1e-9
+        assert t == pytest.approx(t_delta_scan(u, 0.5, 0.2), abs=1e-9)
+    q = q_delta(0.97764, shape)
+    assert math.isfinite(q) and q > 0.0
+    with pytest.raises(InfeasibleRegionError, match="past the lower edge's end"):
+        t_delta(end + 1e-9, shape)
+
+
+def test_u_star_is_the_largest_achievable_tpp():
+    # Su, Bogdan & Candes (2017): for delta < 1 past the phase transition,
+    # eps > eps*(delta), the largest achievable TPP is
+    # u* = 1 - (1 - delta)(eps - eps*) / (eps (1 - eps*)); otherwise it is 1.
+    # eps* comes from the minimax risk M(eps) in the oracle, not from t_cut
+    rng = np.random.default_rng(2017)
+    for _ in range(24):
+        delta = rng.uniform(0.02, 0.98)
+        es = eps_star(delta)
+        eps = es + rng.uniform(0.001, 0.999) * (0.99 - es)
+        want = 1.0 - (1.0 - delta) * (eps - es) / (eps * (1.0 - es))
+        assert u_star(ModelShape(delta, eps)) == pytest.approx(want, rel=0, abs=1e-12)
+    for delta in (0.1, 0.5, 0.9):
+        for ratio in (0.1, 0.5, 0.99):
+            assert u_star(ModelShape(delta, ratio * eps_star(delta))) == 1.0
+    for delta in (1.0, 1.5, 4.0):
+        for eps in (0.01, 0.2, 0.5, 0.9):
+            assert u_star(ModelShape(delta, eps)) == 1.0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(delta=st.floats(0.05, 4.0), ratio=st.floats(0.01, 0.99))
+def test_lower_edge_is_feasible_on_one_interval_where_it_falls(delta, ratio):
+    # the premise of t_delta's bracket: above the noiseless floor the points
+    # of u(t) that select at most delta (penalty factor >= 0) form one
+    # interval [t_cut, inf), on which u(t) falls, from u_star = u(t_cut)
+    eps = ratio * min(delta, 1.0)
+    shape = ModelShape(delta=delta, epsilon=eps)
+    t = np.linspace(noiseless_alpha_floor(shape), 60.0, 601)[1:]
+    u = _edge_level(t, delta, eps)
+    feasible = _penalty(t, u, delta, eps) >= 0.0
+    k = int(np.argmax(feasible))
+    assert np.all(feasible[k:]) and not np.any(feasible[:k])
+    assert np.all(np.diff(u[k:]) < 0.0)
+    assert u[k] <= u_star(shape) <= 1.0
 
 
 def test_lower_edge_monotone():
@@ -257,7 +319,7 @@ def test_crescent_grid():
 
 def test_crescent_diverging_lower_edge():
     # at a large delta and small eps the lower-edge root at u = 0.1 lies past
-    # the t = 60 scan: the point carries that root and the q_delta limit 0
+    # t = 60: the point carries that root and the q_delta limit 0
     shape = ModelShape(delta=4.0, epsilon=0.01, sigma=0.0)
     pt = crescent(shape, n_points=9)[0]
     assert pt.u == pytest.approx(0.1)

@@ -37,6 +37,7 @@ from lassocrescent import (
     tradeoff_at_tpp,
     tradeoff_curve,
     tradeoff_point,
+    u_star,
     varsigma,
 )
 from lassocrescent.state_evolution import _CurveSolver
@@ -565,6 +566,16 @@ def _crescent_numbers(shape):
     return [(p.u, p.q_delta, p.varsigma, p.t_nabla, p.q_nabla) for p in points]
 
 
+def _t_delta_numbers(u, shape):
+    # t_delta is +inf only where delta / (u eps) overflows, the root's limit
+    t = t_delta(u, shape)
+    if t == math.inf:
+        ue = u * shape.epsilon
+        assert ue == 0.0 or shape.delta / ue == math.inf, (u, shape)
+        return []
+    return [t]
+
+
 def _theory_calls(draw):
     """{name: (call, valid)} for each public theory-half function on drawn
     inputs; ``valid`` says whether the inputs lie in the function's domain."""
@@ -609,8 +620,9 @@ def _theory_calls(draw):
         ),
         "tradeoff_at_tpp": (lambda: tradeoff_at_tpp(prior, shape, level), math.isfinite(level)),
         "tradeoff_curve": (lambda: tradeoff_curve(prior, shape, 2), True),
-        "t_delta": (lambda: t_delta(level, noiseless), 0.0 < level <= 1.0),
+        "t_delta": (lambda: _t_delta_numbers(level, noiseless), 0.0 < level <= 1.0),
         "q_delta": (lambda: q_delta(level, noiseless), 0.0 <= level <= 1.0),
+        "u_star": (lambda: u_star(noiseless), True),
         "varsigma": (lambda: varsigma(alpha(noiseless), noiseless), floored),
         "t_nabla": (lambda: t_nabla(level, noiseless), 0.0 < level <= 1.0),
         "q_nabla": (lambda: q_nabla(level, noiseless), 0.0 < level <= 1.0),
@@ -649,7 +661,7 @@ def test_theory_calls_keep_the_error_taxonomy(data):
         except ValueError:
             assert not valid, name
             continue
-        except (InfeasibleRegionError, ConvergenceError):  # DivergingRootError included
+        except (InfeasibleRegionError, ConvergenceError):
             assert valid, name
             continue
         assert valid, name
