@@ -20,19 +20,20 @@ When p > n a p x (max_active + 1) buffer (at most |S| + 2 columns on a
 first-false path) takes the column X' x_j as variable j enters, one O(np)
 product per entry, so memory stays O(p min(n, p)).  After that each step
 reads O(p |A|) data, and finds every level in one pass over the entry
-roots of each sign.  The Cholesky factor L of X_A' X_A is stored
-packed, row by row in one flat buffer with row i at offset i(i+1)/2, so the
-factor of the first k active variables is always a contiguous prefix: an
-entry appends a row, and the triangular solves run on that prefix in place
-(BLAS tpsv), O(|A|^2) each.  The direction is d = L'^-1 w with w = L^-1 s_A.
-w is carried across entries, which extend it by one dot product, and is
-solved afresh only after a drop, so an entry makes one solve for d and a
-drop two.  A drop deletes its row of L by a closed-form rank-one update of
-the m rows below it (see _chol_delete): O(m^2 + |A| m) work in a few
-whole-array passes per block of rows, through dense block arrays of at most
-16384 doubles each.  The active variables, signs, coefficients, w and Gram
-columns sit in slots, used through the first |A|; a drop moves the slots
-after the dropped one down by one.
+roots of each sign.  With X_A' X_A = L L', the solver carries the inverse
+factor R = L^-1, lower triangular in an m x m buffer (m = max_active + 1, so
+O(min(n, p)^2) doubles, below the Gram columns' O(p min(n, p))), and every
+solve is a numpy product: no part of scipy is loaded.  The direction is
+d = R' w with w = R s_A.  An entry appends a row to R from two products of
+O(|A|^2), l = R g (g the entrant's Gram row) and r = -R' l / l_kk (see
+_inv_append), and one entry to w and to d: d becomes [d + r w_k, w_k / l_kk].
+A drop deletes its row and column of R by a closed-form rank-one update of
+the rows below it (see _inv_delete): O(|A|^2) work in a few whole-array
+passes per block of rows, through dense block arrays of at most 16384
+doubles each; w and d are then formed afresh, two products more.  The
+active variables, signs, coefficients, w and Gram columns sit in slots, used
+through the first |A|; a drop moves the slots after the dropped one down by
+one.
 
 Tie handling: each variable has one level, the next penalty value at which
 it changes state.  An inactive variable's level is its entry level, the
@@ -59,7 +60,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import ddot, dtpsv, dtrsv
 
 _TIE_REL = 1e-12
 _COEF_ZERO = 1e-12
@@ -68,8 +68,8 @@ _REFRESH_EVERY = 64
 # unit decrease of lam) stays out: along the whole path it drifts from the
 # level by less than 1e-9 * lam_max
 _TIE_RATE = 1e-9
-# a drop updates the trailing Cholesky rows a block at a time, through dense
-# arrays of at most this many doubles (128 kB) each
+# a drop updates the inverse factor's rows below it a block at a time, through
+# dense arrays of at most this many doubles (128 kB) each
 _DELETE_BLOCK = 1 << 14
 
 
@@ -148,94 +148,80 @@ def _levels(a, c, lam, dropped, slots, b, d):
     return level
 
 
-def _chol_append(P, k, gram_col, col_sq, variable):
-    """Append the variable's row to the packed k x k lower factor in P, and
-    return that row.
+def _inv_append(R, k, gram_row, col_sq, variable):
+    """Extend the k x k inverse factor R[:k, :k] = L^-1 by the variable's row,
+    and return (l, l_kk), its row [l', l_kk] of L.
 
-    L packed row by row is L' packed column by column, the upper-triangular
-    layout tpsv reads: trans=1 solves with L, trans=0 with L'.  tpsv does
-    not check the length of P, so every caller keeps k(k+1)/2 <= P.size.
+    With g = gram_row = X_A' x_j, the new row of L is l = R g and
+    l_kk = sqrt(||x_j||^2 - l'l); the new row of R is r = -R' l / l_kk with
+    1 / l_kk on the diagonal.  Only R[:k, :k] is read and only R[k, :k + 1]
+    written, so R's strict upper triangle stays as the caller filled it.
     """
-    row = P[k * (k + 1) // 2 : (k + 1) * (k + 2) // 2]
-    if k == 0:
-        d2 = col_sq
-    else:
-        row[:k] = dtpsv(k, P, gram_col, trans=1)
-        d2 = col_sq - float(row[:k] @ row[:k])
+    l = R[:k, :k] @ gram_row
+    d2 = col_sq - float(l @ l)
     if d2 <= 1e-12 * col_sq:
         raise DegenerateDesignError(
             f"active Gram matrix became singular when adding variable {variable} "
             f"at step {k + 1} (collinear with the active set)"
         )
-    row[k] = math.sqrt(d2)
-    return row
+    l_kk = math.sqrt(d2)
+    np.multiply(l @ R[:k, :k], -1.0 / l_kk, out=R[k, :k])
+    R[k, k] = 1.0 / l_kk
+    return l, l_kk
 
 
-def _chol_delete(P, k, j):
-    """Remove row/column j from the packed k x k lower factor in P.
+def _inv_delete(R, k, j):
+    """Remove row and column j from the k x k inverse factor R[:k, :k] = L^-1.
 
-    Rows above j stay as they are.  Each row below j moves up one and loses
-    column j; its leading columns 0 .. j-1 stay as they are too.  With x the
-    removed column below the diagonal and T the m x m trailing block (the
-    rows below j, columns j+1 ..), the new trailing block U must satisfy
-    U U' = T T' + x x', a positive rank-one update, which has a closed form
-    (Gill, Golub, Murray & Saunders 1974, Math. Comp. 28): U = T M, with M
-    the lower factor of I + p p' for p = T^-1 x.  With t_0 = 1 and
-    t_{c+1} = t_c + p_c^2, M has the diagonal d_c = sqrt(t_{c+1} / t_c) and
-    the entries p_i g_c below it, g_c = p_c / sqrt(t_c t_{c+1}).  So
-    U[r, c] = d_c T[r, c] + g_c sum_{c < i <= r} T[r, i] p_i, a reverse
-    cumulative sum along row r, and U's diagonal d_c T[c, c] is positive by
-    construction.  The rows of T are read a block at a time into a dense
-    array of at most _DELETE_BLOCK doubles; each block first extends p by
-    forward substitution (p_c needs only rows up to c), then is updated in
-    whole-array passes, so a drop costs O(m^2 + k m), with no Python loop
-    per row.
+    Rows above j stay as they are.  With x the column j of L below the
+    diagonal and T its trailing block, the new trailing block of L is T M,
+    with M the lower factor of I + p p' for p = T^-1 x (Gill, Golub, Murray &
+    Saunders 1974, Math. Comp. 28).  In R, p = -c with
+    c = R[j+1:k, j] / R[j, j], and the rows below j of the new inverse factor
+    are M^-1 Y, with Y the rows R[j+1:k] - c R[j] less their column j (which
+    is zero).  With t_0 = 1 and t_{i+1} = t_i + p_i^2, M has the diagonal
+    sqrt(t_{i+1} / t_i) and the entries p_i p_c / sqrt(t_c t_{c+1}) below
+    it, and forward substitution with M has a closed form,
 
-    First the rows below j move up one row and lose column j, a block of
-    whole rows (at most _DELETE_BLOCK doubles) at a time, in increasing
-    order.  New row r - 1 takes the place of old row r - 1, which ends where
-    old row r starts, so a block overwrites only rows already read (or row
-    j), and each block is read before it is written.
+        Z_i = (Y_i - p_i S_i / t_i) sqrt(t_i / t_{i+1}),  S_i = sum_{l<i} p_l Y_l,
+
+    an exclusive cumulative sum down the rows.  Z_i becomes row j + i.  The
+    rows are read a block at a time into dense arrays of at most
+    _DELETE_BLOCK doubles, cut after the block's last diagonal entry, in
+    increasing order, with S carried from block to block; a block overwrites
+    only rows already read, or row j, whose leading part is copied first.
+    Only R[:k, :k] is read or written, and where Y is zero, above the
+    diagonal, so is Z: R[:k - 1, :k - 1] stays lower triangular.
     """
     m = k - 1 - j  # rows below j
-    if m == 0:  # the first k - 1 rows are the new factor
+    if m == 0:  # R[:k - 1, :k - 1] is the new inverse factor
         return
-    rows = np.arange(j + 1, k)
-    starts = rows * (rows + 1) // 2
-    col_j = starts + j  # column j of the rows below j
-    x = P[col_j]
+    p = R[j + 1 : k, j] / -R[j, j]
+    t = np.empty(m + 1)
+    t[0] = 1.0
+    np.square(p, out=t[1:])
+    np.cumsum(t, out=t)
+    q = p / t[:-1]
+    scale = np.sqrt(t[:-1] / t[1:])
+    row_j = R[j, :j].copy()
+    S = np.zeros(k - 1)
     step = max(1, _DELETE_BLOCK // k)
     for r0 in range(0, m, step):
         r1 = min(m, r0 + step)
-        lo, hi = starts[r0], starts[r1 - 1] + rows[r1 - 1] + 1
-        keep = np.ones(hi - lo, dtype=bool)
-        keep[col_j[r0:r1] - lo] = False
-        P[lo - rows[r0] : hi - rows[r1 - 1] - 1] = P[lo:hi][keep]
-    base = col_j - rows  # where row r of T starts, now that it moved up
-    p, d, g = np.empty(m), np.empty(m), np.empty(m)
-    t = np.empty(m + 1)
-    t[0] = 1.0
-    step = max(1, _DELETE_BLOCK // m)
-    for r0 in range(0, m, step):
-        r1 = min(m, r0 + step)
-        # rows r0 .. r1 - 1 of T, columns 0 .. r1 - 1; past its diagonal a
-        # row reads the rows below it, which the mask zeroes
-        at = base[r0:r1, None] + np.arange(r1)
-        lower = np.tri(r1 - r0, r1, r0, dtype=bool)
-        T = np.where(lower, P[at], 0.0)
-        # the next block of p by forward substitution
-        p[r0:r1] = dtrsv(T[:, r0:], x[r0:r1] - T[:, :r0] @ p[:r0], lower=1)
-        t[r0 + 1 : r1 + 1] = p[r0:r1] ** 2
-        np.cumsum(t[r0 : r1 + 1], out=t[r0 : r1 + 1])
-        d[r0:r1] = np.sqrt(t[r0 + 1 : r1 + 1] / t[r0:r1])
-        g[r0:r1] = p[r0:r1] / np.sqrt(t[r0:r1] * t[r0 + 1 : r1 + 1])
-        # g_c times the sums over i > c: the inclusive suffix sums of
-        # T[r, i] p_i, read one column to the right
-        s = (T * p[:r1])[:, ::-1].cumsum(axis=1)[:, -2::-1]
-        s *= g[: r1 - 1]
-        T *= d[:r1]
-        T[:, :-1] += s
-        P[at[lower]] = T[lower]
+        w = j + r1  # columns through the block's last diagonal entry
+        rows = R[j + 1 + r0 : j + 1 + r1]
+        Y = np.empty((r1 - r0, w))
+        np.add(rows[:, :j], p[r0:r1, None] * row_j, out=Y[:, :j])
+        Y[:, j:] = rows[:, j + 1 : w + 1]
+        acc = np.empty_like(Y)  # S_i of each row of the block
+        acc[0] = S[:w]
+        np.multiply(Y[:-1], p[r0 : r1 - 1, None], out=acc[1:])
+        np.cumsum(acc, axis=0, out=acc)
+        S[:w] = acc[-1] + p[r1 - 1] * Y[-1]
+        acc *= q[r0:r1, None]
+        Y -= acc
+        Y *= scale[r0:r1, None]
+        R[j + r0 : j + r1, :w] = Y
 
 
 def _slot_to_end(buf, pos, k):
@@ -324,7 +310,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
 
     # a first-false path holds at most |S| + 1 active variables
     m = (max_active if allowed is None else min(max_active, len(allowed) + 1)) + 1
-    P = np.empty(m * (m + 1) // 2)  # packed Cholesky factor, see _chol_append
+    R = np.zeros((m, m))  # the inverse factor L^-1, see _inv_append
     # slot i of G holds X' x_v for the variable v = order[i], the i-th active
     # one for i < |A|; when p <= n, slot[v] = i for every inactive v = order[i]
     gram = p <= n
@@ -344,7 +330,8 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     active = ()  # each event shares this tuple and its int objects
     sgn = np.zeros(m)
     beta = np.zeros(m)
-    w = np.zeros(m)  # L^-1 s_A, the first half of the direction's solve
+    w = np.zeros(m)  # R s_A, so that the direction is R' w
+    d = np.empty(0)
     k = 0
     events = []
     dropped = None  # (variable, sign) removed at the previous event
@@ -355,7 +342,7 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     while True:
         if kind == "drop":
             pos = active.index(j)
-            _chol_delete(P, k, pos)
+            _inv_delete(R, k, pos)
             dropped = (j, sgn[pos])
             active = active[:pos] + active[pos + 1 :]
             # the dropped slot moves to k - 1, where the full Gram keeps it
@@ -363,7 +350,8 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
                 _slot_to_end(buf, pos, k)
             slot[j] = k - 1
             k -= 1
-            w[:k] = dtpsv(k, P, sgn[:k], trans=1)
+            w[:k] = R[:k, :k] @ sgn[:k]
+            d = w[:k] @ R[:k, :k]
         else:
             if not gram:
                 G[:, k] = X.T @ X[:, j]
@@ -374,18 +362,17 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
                 s = slot[order[k]] = slot[j]  # the variable in slot k moves to s
                 G[:, k], G[:, s] = G[:, s], G[:, k].copy()
                 order[k], order[s] = order[s], order[k]
-            row = _chol_append(P, k, G[j, :k], col_sq[j], j)
+            l, l_kk = _inv_append(R, k, G[j, :k].copy(), col_sq[j], j)
             active += (j,)
             sgn[k] = 1.0 if c[j] > 0 else -1.0
             beta[k] = 0.0
-            # the new entry of w: the last step of tpsv's forward solve (a dot
-            # product, then a division), so w equals a full solve bit for bit
-            w[k] = (sgn[k] - (ddot(row[:k], w[:k]) if k else 0.0)) / row[k]
+            # w and d gain one entry each (see "Cost and memory" above)
+            w[k] = (sgn[k] - float(l @ w[:k])) / l_kk
+            d = np.concatenate((d + w[k] * R[k, :k], (w[k] / l_kk,)))
             k += 1
             dropped = None
 
-        # direction for the new active set; stored on the event and reused
-        d = dtpsv(k, P, w[:k])
+        # the direction d is stored on the event and reused
         events.append(
             PathEvent(
                 lam=lam,

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleRegionError
 # Unchecked kernels, bound to the public names that perfbench/tracing.py wraps
-from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob
+from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob, _pdf as normal_pdf
 from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
 
 _RESIDUAL_TOL = 1e-10
@@ -276,10 +276,23 @@ def _noiseless_floor_cached(delta, epsilon):
             raise ConvergenceError(f"noiseless floor sqrt(delta/eps - 1) overflows for {shape}")
         return root
     neg = np.nonzero(vals < 0.0)[0]
-    if len(neg) == 0:
+    if len(neg):
+        k = neg[-1]  # last sign change from below zero to above
+        return brentq(lambda a: float(_null_excess(a, shape)), grid[k], grid[k + 1], xtol=1e-13)
+    # N is convex (mse_null'' = 4 Phi(-t)), so its minimiser t_m lies within a
+    # step of the grid's lowest point, and a negative window narrower than a
+    # step can only be around t_m: N'(t) = 2 eps t - 4 (1 - eps)(phi(t) - t Phi(-t))
+    eps = shape.epsilon
+    i = int(np.argmin(vals))
+    t_m = brentq(
+        lambda t: 2.0 * eps * t - 4.0 * (1.0 - eps) * (normal_pdf(t) - t * normal_cdf(-t)),
+        grid[max(i - 1, 0)],
+        grid[i + 1],
+        xtol=1e-15,
+    )
+    if _null_excess(t_m, shape) >= 0.0:
         return 0.0
-    k = neg[-1]  # last sign change from below zero to above
-    return brentq(lambda a: float(_null_excess(a, shape)), grid[k], grid[k + 1], xtol=1e-13)
+    return brentq(lambda a: float(_null_excess(a, shape)), t_m, grid[i + 1], xtol=1e-13)
 
 
 def noiseless_alpha_floor(shape):
@@ -289,8 +302,10 @@ def noiseless_alpha_floor(shape):
     alpha above this floor; as alpha decreases to it, tau -> 0 and the
     asymptotic TPP increases to 1.  The root is bracketed on a fixed scan of
     [0, 60]; where N(60) <= 0 it lies above 60, where N(alpha) = eps (1 +
-    alpha^2) - delta in double, and is sqrt(delta/eps - 1).  Raises
-    ``ConvergenceError`` only where delta/eps overflows.
+    alpha^2) - delta in double, and is sqrt(delta/eps - 1).  Where no grid
+    point is negative, N may still dip below 0 between two of them just
+    below the phase transition; the root is then bracketed from N's
+    minimiser.  Raises ``ConvergenceError`` only where delta/eps overflows.
     """
     return _noiseless_floor_cached(shape.delta, shape.epsilon)
 

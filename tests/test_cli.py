@@ -79,22 +79,25 @@ def test_simulation_half_leaves_out_scipy_optimize_and_special(tmp_path):
     # the simulation commands never solve a root or evaluate a Gaussian
     # kernel; loading both modules costs each process and pool worker
     # ~0.2 s and ~20 MB (2-vCPU VM).  The theory half loads them on first use.
-    cfg = json.dumps(TINY_SIM_CONFIG)
+    # The path solver's products are numpy's, so scipy.linalg (~0.3 s and
+    # ~15 MB more) stays out of the simulation half too.
+    cfg, rank_cfg = json.dumps(TINY_SIM_CONFIG), json.dumps(TINY_RANK_CONFIG)
     code = f"""
 import sys
 import lassocrescent, lassocrescent.cli
 from lassocrescent import DiscretePrior, ModelShape, config_from_json
-from lassocrescent import run_tradeoff_experiment, tradeoff_curve
+from lassocrescent import run_rank_experiment, run_tradeoff_experiment, tradeoff_curve
 
-def loaded():
-    return [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+def loaded(*names):
+    return [m for m in names if m in sys.modules]
 
 run_tradeoff_experiment(config_from_json({cfg!r}))
+run_rank_experiment(config_from_json({rank_cfg!r}))
 assert lassocrescent.cli.main(["path", "--config", {cfg!r}, "--out", sys.argv[1]]) == 0
-print("simulation", loaded())
+print("simulation", loaded("scipy.linalg", "scipy.optimize", "scipy.special"))
 prior = DiscretePrior(atoms=((1.0, 0.2),), null_mass=0.8)
 tradeoff_curve(prior, ModelShape(delta=1.0, epsilon=0.2), n_points=5)
-print("theory", loaded())
+print("theory", loaded("scipy.optimize", "scipy.special"))
 """
     res = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "path.csv")],

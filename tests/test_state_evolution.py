@@ -42,7 +42,7 @@ from lassocrescent import (
 )
 from lassocrescent.state_evolution import _CurveSolver
 
-from oracles import alpha_min_scan, exceedance, fixed_point_tau
+from oracles import alpha_min_scan, eps_star, exceedance, fixed_point_tau
 
 SHAPE = ModelShape(delta=1.0, epsilon=0.2, sigma=0.0)
 PRIOR1 = DiscretePrior.homogeneous(0.2, 1.0)
@@ -179,6 +179,26 @@ def test_noiseless_alpha_floor():
     # where delta/eps overflows the floor is not a finite double
     with pytest.raises(ConvergenceError):
         noiseless_alpha_floor(ModelShape(delta=4.0, epsilon=1e-310, sigma=0.0))
+
+
+
+def test_noiseless_floor_just_below_the_phase_transition():
+    # just below eps*, N's negative window is narrower than the floor's
+    # 0.025 grid step; the floor was then read as 0, u_star came out above 1
+    # and the homogeneous curve refused every alpha
+    for delta in (0.1, 0.3, 0.9):
+        es = eps_star(delta)
+        for j in (3, 4, 5, 6):
+            eps = (1.0 - 10.0**-j) * es
+            shape = ModelShape(delta=delta, epsilon=eps)
+            f = noiseless_alpha_floor(shape)
+            assert f > 0.0
+            assert abs((1.0 - eps) * mse_null(f) + eps * (1.0 + f * f) - delta) <= 1e-12
+            assert u_star(shape) <= 1.0
+            tradeoff_curve(DiscretePrior.homogeneous(eps, 1.0), shape, 5)
+            # just above eps*, N > 0 everywhere and the floor is 0
+            above = ModelShape(delta=delta, epsilon=(1.0 + 10.0**-j) * es)
+            assert noiseless_alpha_floor(above) == 0.0
 
 
 # --- calibration at fixed alpha ---------------------------------------------
@@ -529,6 +549,31 @@ def test_tradeoff_curve_points_are_calibrated_lasso_points(delta, ratio, sigma, 
         assert lam >= 0.0
         point = StateEvolutionPoint(alpha=a, tau=tau, lam=lam, shape=shape)
         assert max(map(abs, equation_residuals(prior, point))) <= 1e-10
+
+
+
+def test_larger_weak_effects_raise_the_fdp_at_low_tpp():
+    # the paper's headline (arXiv 2007.00566): with half the signal mass at
+    # 100 and half at a, raising the weak effect a toward 100 raises the
+    # asymptotic FDP at a fixed TPP; at sigma = 0 and u = 0.3 it goes
+    # 0.00970, 0.00975, 0.01042, 0.01693, 0.04550.  The claim is asserted at
+    # u = 0.3 and 0.5 only.  At u = 0.7 it does not hold: at sigma = 0 the
+    # FDP is flat (0.09927) for a <= 30, and at sigma = 0.5 the weak effects
+    # sit under the noise at a = 1, where the FDP (0.373) exceeds that of
+    # a = 100 (0.111).
+    def fdp(a, sigma, u):
+        prior = (
+            DiscretePrior.homogeneous(0.2, 100.0)
+            if a == 100
+            else DiscretePrior.from_levels(0.2, (a, 100))
+        )
+        return tradeoff_at_tpp(prior, ModelShape(delta=1.0, epsilon=0.2, sigma=sigma), u)[1]
+
+    for sigma in (0.0, 0.5):
+        for u in (0.3, 0.5):
+            q = [fdp(a, sigma, u) for a in (1, 3, 10, 30, 100)]
+            assert all(x < y for x, y in zip(q, q[1:])), (sigma, u, q)
+    assert fdp(1, 0.5, 0.7) > fdp(100, 0.5, 0.7)
 
 
 # --- error taxonomy under stress ------------------------------------------------
