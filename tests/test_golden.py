@@ -6,8 +6,9 @@ runner was refactored, the ``boundary``/``curve`` files before the theory
 half's bracket walks were merged, and ``path_pm.csv`` before the path solver's
 breakpoint search was merged into one, so they pin the numbers across
 refactors.  ``path_drops.csv`` was re-captured when a drop's Cholesky update
-changed from Givens rotations to a closed-form rank-one update, which moved
-its lambda column at rounding level (no event changed).
+changed from Givens rotations to a closed-form rank-one update, and again
+when the solver came to carry the inverse factor L^-1 in place of L; each
+time its lambda column moved at rounding level (no event changed).
 Every file a run writes next to its CSV (such as ``.touching.csv``) is
 compared too.  The cases run ``cli.main`` in this process.  ``golden/gnuplot/``
 pins, for one case of each command, the ``--gnuplot`` script and the paths the
