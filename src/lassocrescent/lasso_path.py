@@ -176,12 +176,12 @@ def _inv_delete(R, k, j):
     Rows above j stay as they are.  With x the column j of L below the
     diagonal and T its trailing block, the new trailing block of L is T M,
     with M the lower factor of I + p p' for p = T^-1 x (Gill, Golub, Murray &
-    Saunders 1974, Math. Comp. 28).  In R, p = -c with
-    c = R[j+1:k, j] / R[j, j], and the rows below j of the new inverse factor
-    are M^-1 Y, with Y the rows R[j+1:k] - c R[j] less their column j (which
-    is zero).  With t_0 = 1 and t_{i+1} = t_i + p_i^2, M has the diagonal
-    sqrt(t_{i+1} / t_i) and the entries p_i p_c / sqrt(t_c t_{c+1}) below
-    it, and forward substitution with M has a closed form,
+    Saunders 1974, Math. Comp. 28).  In R, p = -R[j+1:k, j] / R[j, j], and
+    the rows below j of the new inverse factor are M^-1 Y, with Y the rows
+    R[j+1:k] + p R[j] less their column j (which is zero).  With t_0 = 1 and
+    t_{i+1} = t_i + p_i^2, M has the diagonal sqrt(t_{i+1} / t_i) and the
+    entries p_i p_c / sqrt(t_c t_{c+1}) below it, and forward substitution
+    with M has a closed form,
 
         Z_i = (Y_i - p_i S_i / t_i) sqrt(t_i / t_{i+1}),  S_i = sum_{l<i} p_l Y_l,
 
@@ -208,20 +208,20 @@ def _inv_delete(R, k, j):
     step = max(1, _DELETE_BLOCK // k)
     for r0 in range(0, m, step):
         r1 = min(m, r0 + step)
-        w = j + r1  # columns through the block's last diagonal entry
+        cols = j + r1  # through the block's last diagonal entry
         rows = R[j + 1 + r0 : j + 1 + r1]
-        Y = np.empty((r1 - r0, w))
+        Y = np.empty((r1 - r0, cols))
         np.add(rows[:, :j], p[r0:r1, None] * row_j, out=Y[:, :j])
-        Y[:, j:] = rows[:, j + 1 : w + 1]
+        Y[:, j:] = rows[:, j + 1 : cols + 1]
         acc = np.empty_like(Y)  # S_i of each row of the block
-        acc[0] = S[:w]
+        acc[0] = S[:cols]
         np.multiply(Y[:-1], p[r0 : r1 - 1, None], out=acc[1:])
         np.cumsum(acc, axis=0, out=acc)
-        S[:w] = acc[-1] + p[r1 - 1] * Y[-1]
+        S[:cols] = acc[-1] + p[r1 - 1] * Y[-1]
         acc *= q[r0:r1, None]
         Y -= acc
         Y *= scale[r0:r1, None]
-        R[j + r0 : j + r1, :w] = Y
+        R[j + r0 : j + r1, :cols] = Y
 
 
 def _slot_to_end(buf, pos, k):

@@ -79,8 +79,8 @@ def test_simulation_half_leaves_out_scipy_optimize_and_special(tmp_path):
     # the simulation commands never solve a root or evaluate a Gaussian
     # kernel; loading both modules costs each process and pool worker
     # ~0.2 s and ~20 MB (2-vCPU VM).  The theory half loads them on first use.
-    # The path solver's products are numpy's, so scipy.linalg (~0.3 s and
-    # ~15 MB more) stays out of the simulation half too.
+    # The path solver's products are numpy's, so scipy.linalg (another
+    # ~0.2 s and ~27 MB) stays out of the simulation half too.
     cfg, rank_cfg = json.dumps(TINY_SIM_CONFIG), json.dumps(TINY_RANK_CONFIG)
     code = f"""
 import sys
