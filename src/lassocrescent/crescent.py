@@ -113,7 +113,7 @@ def _lower_end_cached(delta, epsilon):
     if _penalty_factor(floor, 1.0, shape) >= 0.0:
         return floor, 1.0
     factor = lambda t: _penalty_factor(t, _lower_u(t, shape), shape)
-    cut = brentq(factor, floor, _T_MAX, xtol=1e-15, rtol=8.9e-16)
+    cut = brentq(factor, floor, _T_MAX)
     return cut, _lower_u(cut, shape)
 
 
@@ -174,7 +174,7 @@ def t_delta(u, shape):
             )
         gap = lambda t: _lower_u(t, shape) - u
         # at the floor, u(t_cut) = 1 may round a hair below u = 1
-        root = cut if gap(cut) <= 0.0 else brentq(gap, cut, _T_MAX, xtol=1e-15, rtol=8.9e-16)
+        root = cut if gap(cut) <= 0.0 else brentq(gap, cut, _T_MAX)
     _check_lower_point(root, u, shape)
     return root
 

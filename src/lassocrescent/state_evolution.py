@@ -29,12 +29,13 @@ does not depend on the atom values; the equation is solvable exactly when
 N(alpha) > 0, i.e. above the noiseless floor returned by
 ``noiseless_alpha_floor``.
 
-``scipy.optimize`` is imported on the first root solve, through the module's
-``brentq``, not with this module: the simulation half (``lasso_path``,
-``harness``) imports this module for ``DiscretePrior`` but never solves a
-root, and the import costs each of its processes ~0.15-0.2 s and ~17 MB
-(2-vCPU VM).  ``crescent`` solves its roots through the same ``brentq``,
-which keeps that name because ``perfbench/tracing.py`` wraps it.
+Every root of the theory half, here and in ``crescent``, is solved by this
+module's ``brentq`` to full double precision; no call site picks its own
+tolerance.  The wrapper keeps that name because ``perfbench/tracing.py``
+wraps it.  It imports ``scipy.optimize`` on the first root solve, not with
+this module: the simulation half (``lasso_path``, ``harness``) imports this
+module for ``DiscretePrior`` but never solves a root, and the import costs
+each of its processes ~0.15-0.2 s and ~17 MB (2-vCPU VM).
 """
 
 import bisect
@@ -52,23 +53,19 @@ from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
 
 _RESIDUAL_TOL = 1e-10
 _TPP_WINDOW = (0.01, 0.99)  # the TPP range tradeoff_curve samples, where achievable
-# Usable range of theta = 1/tau hints.  The bracket walk itself is bounded by
-# its step count (8**40 either way), not by a range: atom magnitudes of 1e15
-# and beyond push the solution theta far below 1e-14.
-_THETA_MIN = 1e-18
-_THETA_MAX = 1e18
 
 
-def brentq(f, a, b, **kwargs):
-    """``scipy.optimize.brentq``, imported on first use (see the module
-    docstring), with its failure to converge raised as ``ConvergenceError``."""
+def brentq(f, a, b):
+    """The root of f on [a, b] to full double precision: ``scipy.optimize.brentq``
+    at xtol=1e-300, rtol=8.9e-16 (4 ulps), maxiter=200, imported on first use,
+    with its failure to converge raised as ``ConvergenceError``."""
     from scipy.optimize import brentq
 
     try:
-        return brentq(f, a, b, **kwargs)
+        return brentq(f, a, b, xtol=1e-300, rtol=8.9e-16, maxiter=200)
     except (InfeasibleRegionError, ConvergenceError):  # raised by f
         raise
-    except RuntimeError as exc:  # "Failed to converge after 100 iterations."
+    except RuntimeError as exc:  # "Failed to converge after 200 iterations."
         raise ConvergenceError(f"brentq on [{a}, {b}]: {exc}") from exc
 
 
@@ -240,7 +237,7 @@ def _require_matching_sparsity(prior, shape):
 @lru_cache(maxsize=256)
 def _alpha_min_cached(delta):
     # unique root of mse_null(a) = delta on (0, inf); mse_null decreases 1 -> 0
-    return brentq(lambda a: mse_null(a) - delta, 0.0, 40.0, xtol=1e-13)
+    return brentq(lambda a: mse_null(a) - delta, 0.0, 40.0)
 
 
 def alpha_min(shape):
@@ -275,24 +272,21 @@ def _noiseless_floor_cached(delta, epsilon):
         if not math.isfinite(root):
             raise ConvergenceError(f"noiseless floor sqrt(delta/eps - 1) overflows for {shape}")
         return root
+    excess = lambda a: float(_null_excess(a, shape))
     neg = np.nonzero(vals < 0.0)[0]
     if len(neg):
         k = neg[-1]  # last sign change from below zero to above
-        return brentq(lambda a: float(_null_excess(a, shape)), grid[k], grid[k + 1], xtol=1e-13)
+        return brentq(excess, grid[k], grid[k + 1])
     # N is convex (mse_null'' = 4 Phi(-t)), so its minimiser t_m lies within a
     # step of the grid's lowest point, and a negative window narrower than a
     # step can only be around t_m: N'(t) = 2 eps t - 4 (1 - eps)(phi(t) - t Phi(-t))
     eps = shape.epsilon
+    slope = lambda t: 2.0 * eps * t - 4.0 * (1.0 - eps) * (normal_pdf(t) - t * normal_cdf(-t))
     i = int(np.argmin(vals))
-    t_m = brentq(
-        lambda t: 2.0 * eps * t - 4.0 * (1.0 - eps) * (normal_pdf(t) - t * normal_cdf(-t)),
-        grid[max(i - 1, 0)],
-        grid[i + 1],
-        xtol=1e-15,
-    )
-    if _null_excess(t_m, shape) >= 0.0:
+    t_m = brentq(slope, grid[max(i - 1, 0)], grid[i + 1])
+    if excess(t_m) >= 0.0:
         return 0.0
-    return brentq(lambda a: float(_null_excess(a, shape)), t_m, grid[i + 1], xtol=1e-13)
+    return brentq(excess, t_m, grid[i + 1])
 
 
 def noiseless_alpha_floor(shape):
@@ -331,11 +325,11 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
     """Solve the first calibration equation for tau at threshold alpha.
 
     The equation is solved for theta = 1/tau, in which the normalized
-    residual is strictly increasing.  From ``theta_hint`` (or the default
-    1/sqrt(sigma^2 + E[Pi^2]/delta)) the bracket walks by factors of 8, at
-    most 40 times, toward the sign change before Brent refinement.  Raises
-    ``InfeasibleRegionError`` when alpha is at or below the admissible lower
-    bound for this shape.
+    residual is strictly increasing.  From ``theta_hint``, where positive and
+    finite (else from 1/sqrt(sigma^2 + E[Pi^2]/delta)), the bracket walks by
+    factors of 8, at most 40 times, toward the sign change before Brent
+    refinement.  Raises ``InfeasibleRegionError`` when alpha is at or below
+    the admissible lower bound for this shape.
     """
     _require_matching_sparsity(prior, shape)
     alpha = _check_alpha(alpha)
@@ -360,7 +354,7 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
             f"{noiseless_alpha_floor(shape):.6f} for {shape}"
         )
 
-    if theta_hint is not None and _THETA_MIN < theta_hint < _THETA_MAX:
+    if theta_hint is not None and 0.0 < theta_hint < math.inf:
         center = theta_hint
     else:  # hypot factors out the largest term, so sigma or atoms past 1e154 do not overflow
         scale = math.hypot(shape.sigma, *(prior.values * np.sqrt(prior.probs / shape.delta)))
@@ -375,7 +369,7 @@ def solve_tau_given_alpha(prior, alpha, shape, theta_hint=None):
         )
     if walk is None:
         raise ConvergenceError(f"no sign change for tau equation near theta = {center}")
-    theta = brentq(g, min(walk), max(walk), xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    theta = brentq(g, min(walk), max(walk))
     if abs(g(theta)) > _RESIDUAL_TOL:
         raise ConvergenceError(
             f"tau equation residual {g(theta):.2e} exceeds {_RESIDUAL_TOL} "
@@ -460,8 +454,10 @@ def _tradeoff_given_tau(prior, alpha, shape, tau):
 
 
 class _CurveSolver:
-    """Monotone inversion alpha <-> TPP for one (prior, shape), with warm
-    theta hints shared across solves."""
+    """Monotone inversion alpha <-> TPP or lambda for one (prior, shape), with
+    warm theta hints shared across solves.  Each bracket comes from one of two
+    walks in alpha: up by doublings (``walk_doubling``), or toward the floor
+    by factors of 8 down to its resolution (``walk_to_floor``)."""
 
     def __init__(self, prior, shape):
         _require_matching_sparsity(prior, shape)
@@ -477,9 +473,7 @@ class _CurveSolver:
     def tau(self, alpha):
         tau = self._tau_cache.get(alpha)
         if tau is None:
-            tau = solve_tau_given_alpha(
-                self.prior, alpha, self.shape, theta_hint=self._hint
-            )
+            tau = solve_tau_given_alpha(self.prior, alpha, self.shape, theta_hint=self._hint)
             self._hint = 1.0 / tau
             self._tau_cache[alpha] = tau
         return tau
@@ -512,46 +506,52 @@ class _CurveSolver:
             )
         return root + max(1e-9, 1e-9 * root)
 
+    def walk_doubling(self, a, ahead):
+        """(prev, x) around the first of max(2a, 1) and its doublings where
+        ``ahead`` fails, prev being a at the start; None after 41 points."""
+        return _bracket_walk(max(2.0 * a, 1.0), lambda x: 2.0 * x, ahead, prev=a)
+
+    def walk_to_floor(self, ahead):
+        """(prev, x) around the first point where ``ahead`` fails as the gap
+        from ``start`` to the floor shrinks by factors of 8; None where it
+        holds down to the resolution of alpha, 1e-15 max(1, floor)."""
+        floor = self.floor
+        tol = 1e-15 * max(1.0, floor)
+        step = lambda x: floor + (x - floor) / 8.0
+        walk = _bracket_walk(self.start, step, lambda x: x - floor >= tol and ahead(x))
+        return walk if walk and walk[1] - floor >= tol else None
+
     def alpha_at_lambda(self, target):
         """Threshold at which the calibrated penalty equals ``target``, or None
-        where no bracket is found: from ``start`` the gap to the floor shrinks
-        by factors of 8 while the penalty is above the target, else alpha doubles."""
-        a, floor, lam = self.start, self.floor, self.lam
-        if lam(a) > target:
-            walk = _bracket_walk(a, lambda x: floor + (x - floor) / 8.0, lambda x: lam(x) > target)
+        where no bracket is found: alpha walks from ``start`` to the floor
+        while the penalty is above the target, else up."""
+        lam = self.lam
+        if lam(self.start) > target:
+            walk = self.walk_to_floor(lambda x: lam(x) > target)
         else:
-            walk = _bracket_walk(
-                max(2.0 * a, 1.0), lambda x: 2.0 * x, lambda x: lam(x) <= target, prev=a
-            )
-        if walk is None:
-            return None
-        return brentq(lambda x: lam(x) - target, *sorted(walk), xtol=1e-13, rtol=8.9e-16)
+            walk = self.walk_doubling(self.start, lambda x: lam(x) <= target)
+        return None if walk is None else brentq(lambda x: lam(x) - target, *sorted(walk))
 
-    def walk_up(self, a_min, tpp):
-        """Walk alpha up from max(4 a_min, 4) by factors of 1.5 to the first
-        point with TPP <= ``tpp``, or to the first point past alpha = 100."""
-        a_start = max(4.0 * a_min, 4.0)
-        cap = max(a_start, 100.0)
-        _, end = _bracket_walk(
-            a_start, lambda a: 1.5 * a, lambda a: a <= cap and self.tpp(a) > tpp
-        )
-        return end
+    def tpp_low_end(self, target):
+        """First point of the up-walk from ``alpha_lo`` with TPP <= ``target``,
+        or the first past alpha = max(100, 4 alpha_lo)."""
+        cap = max(100.0, 4.0 * self.alpha_lo)
+        return self.walk_doubling(self.alpha_lo, lambda a: a <= cap and self.tpp(a) > target)[1]
 
     def alpha_at_tpp(self, target):
         """Threshold at which the TPP equals ``target``.
 
-        TPP falls as alpha rises from ``alpha_lo``.  A lower target
-        is reached by ``walk_up``; a higher one, where the penalty cut does
-        not bind, by shrinking the gap to the floor by factors of 64 down to
-        the resolution of alpha (as alpha falls to the noiseless floor, TPP
-        rises to 1).  The root is then bracketed by the adjacent pair of
-        alphas solved so far whose TPP values straddle the target.  Raises
+        TPP falls as alpha rises from ``alpha_lo``.  A lower target is reached
+        by ``tpp_low_end``; a higher one, where the penalty cut does not bind,
+        by ``walk_to_floor`` (as alpha falls to the noiseless floor, TPP rises
+        to 1).  The root is then bracketed by the adjacent pair of alphas
+        solved so far whose TPP values straddle the target.  Raises
         ``InfeasibleRegionError`` where the point found misses the target by
         more than 1e-9, and where the penalty cut binds below the target.
         """
         a_min = end = self.alpha_lo
         if target <= self.tpp(a_min):
-            end = self.walk_up(a_min, target)
+            end = self.tpp_low_end(target)
             if self.tpp(end) > target:
                 raise ConvergenceError(f"failed to bracket TPP = {target} from above")
         elif a_min > self.start:
@@ -560,12 +560,7 @@ class _CurveSolver:
                 f"where the calibrated penalty reaches 0, for {self.shape}"
             )
         else:
-            tol = 1e-15 * max(1.0, self.floor)
-            _bracket_walk(
-                (a_min - self.floor) / 64.0,
-                lambda w: w / 64.0,
-                lambda w: w >= tol and self.tpp(self.floor + w) < target,
-            )
+            self.walk_to_floor(lambda a: self.tpp(a) < target)
         # TPP at ``end`` is at most the target; below it, binary search finds
         # an adjacent pair across the target even where TPP is not monotone
         hi = bisect.bisect_left(self._alphas, end)
@@ -574,7 +569,7 @@ class _CurveSolver:
             alpha = self._alphas[0]
         else:
             lo, hi = self._alphas[k - 1], self._alphas[k]
-            alpha = brentq(lambda a: self.tpp(a) - target, lo, hi, xtol=1e-300, rtol=8.9e-16)
+            alpha = brentq(lambda a: self.tpp(a) - target, lo, hi)
         if not abs(self.tpp(alpha) - target) <= 1e-9:
             raise InfeasibleRegionError(
                 f"TPP = {target} outside the achievable range: the nearest point, "
@@ -596,7 +591,7 @@ def tradeoff_curve(prior, shape, n_points):
         raise ValueError(f"n_points must be an integer of at least 2, got {n_points!r}")
     solver = _CurveSolver(prior, shape)
     u_max_ach = solver.tpp(solver.alpha_lo)
-    u_min_ach = solver.tpp(solver.walk_up(solver.alpha_lo, _TPP_WINDOW[0]))
+    u_min_ach = solver.tpp(solver.tpp_low_end(_TPP_WINDOW[0]))
     lo = max(_TPP_WINDOW[0], u_min_ach + 1e-12)
     hi = min(_TPP_WINDOW[1], u_max_ach - 1e-12)
     if not lo < hi:

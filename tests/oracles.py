@@ -12,12 +12,14 @@ on the same inputs: the path solver's level pass against its first form
 (masks and level map by ``np.where``), and the touching levels against the
 damped fixed-point iteration over the library's t_delta.  The path solver's
 solutions are also checked against the fixed point of approximate message
-passing.
+passing.  The noiseless floor and alpha_min have 40-digit references in
+mpmath, from the integral that defines mse_null.
 """
 
 import math
 
 import numpy as np
+from mpmath import mp
 from scipy.integrate import quad
 from scipy.linalg import cholesky, toeplitz
 from scipy.optimize import brentq, minimize_scalar
@@ -232,6 +234,47 @@ def eps_star(delta):
         ).fun
 
     return brentq(lambda e: risk(e) - delta, 1e-12, 1.0 - 1e-12, xtol=1e-15, rtol=8.9e-16)
+
+
+_MP_DPS = 50  # working digits of the mpmath references, which are quoted to 40
+
+
+def mp_mse_null(a):
+    """E[eta(W; a)^2] = 2 * integral over w > a of (w - a)^2 phi(w) dw, by
+    ``mp.quad`` at the working precision (a an mpf)."""
+    tail = mp.quad(lambda w: (w - a) ** 2 * mp.exp(-w * w / 2), [a, mp.inf])
+    return 2 * tail / mp.sqrt(2 * mp.pi)
+
+
+def _mp_scan_root(f, a, step):
+    # step from a, where f > 0, to the first point where f <= 0, then refine
+    # that bracket by a bracketing secant (Anderson-Bjorck)
+    b = a + step
+    while f(b) > 0:
+        a, b = b, b + step
+    return mp.findroot(f, (a, b), solver="anderson")
+
+
+def mp_noiseless_floor(delta, eps):
+    """Largest root of N(a) = (1 - eps) mse_null(a) + eps (1 + a^2) - delta
+    to 40 digits, for double delta and eps (taken exactly).  At
+    a = sqrt(delta/eps - 1), N = (1 - eps) mse_null(a) > 0, and a descending
+    scan in steps of 1/16 brackets the root below it; a negative window
+    narrower than a step (within a hair of the phase transition) is out of
+    its reach."""
+    with mp.workdps(_MP_DPS):
+        delta, eps = mp.mpf(delta), mp.mpf(eps)
+        n = lambda a: (1 - eps) * mp_mse_null(a) + eps * (1 + a * a) - delta
+        return _mp_scan_root(n, mp.sqrt(delta / eps - 1), -mp.mpf(1) / 16)
+
+
+def mp_alpha_min(delta):
+    """Root of mse_null(a) = delta for a double delta < 1, to 40 digits:
+    mse_null falls from 1 at a = 0, so an ascending scan in steps of 1/16
+    brackets it."""
+    with mp.workdps(_MP_DPS):
+        delta = mp.mpf(delta)
+        return _mp_scan_root(lambda a: mp_mse_null(a) - delta, mp.mpf(0), mp.mpf(1) / 16)
 
 
 def t_delta_grid(us, delta, eps, step=0.05, t_max=60.0, iters=48):

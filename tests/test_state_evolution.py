@@ -42,7 +42,14 @@ from lassocrescent import (
 )
 from lassocrescent.state_evolution import _CurveSolver
 
-from oracles import alpha_min_scan, eps_star, exceedance, fixed_point_tau
+from oracles import (
+    alpha_min_scan,
+    eps_star,
+    exceedance,
+    fixed_point_tau,
+    mp_alpha_min,
+    mp_noiseless_floor,
+)
 
 SHAPE = ModelShape(delta=1.0, epsilon=0.2, sigma=0.0)
 PRIOR1 = DiscretePrior.homogeneous(0.2, 1.0)
@@ -199,6 +206,33 @@ def test_noiseless_floor_just_below_the_phase_transition():
             # just above eps*, N > 0 everywhere and the floor is 0
             above = ModelShape(delta=delta, epsilon=(1.0 + 10.0**-j) * es)
             assert noiseless_alpha_floor(above) == 0.0
+
+
+def test_floor_and_alpha_min_match_the_40_digit_oracle():
+    # Each root is solved to full double precision, so it is good to
+    # K eps cond, eps = 2^-52: cond = S / |x f'(x)| is the root's relative
+    # condition number, with S the sum of the magnitudes of f's terms before
+    # they cancel, those of mse_null(a) = 2(1 + a^2) Phi(-a) - 2 a phi(a)
+    # among them.  A recorded sweep (80 shapes for the floor, 40 deltas in
+    # (0.05, 1) for alpha_min) gave K <= 1.28 and K <= 1.31; K = 4 leaves
+    # three times that.  Solved to 1e-13 absolute instead, the floor at
+    # (1, 0.2) had K = 34.7 and alpha_min at delta = 0.8 had K = 15.8.
+    def null_terms(a):
+        return 2.0 * (1.0 + a * a) * normal_cdf(-a) + 2.0 * a * normal_pdf(a)
+
+    def null_slope(a):
+        return -4.0 * (normal_pdf(a) - a * normal_cdf(-a))
+
+    def assert_within(x, exact, scale, slope):
+        assert abs(float((x - exact) / exact)) <= 4.0 * 2.0**-52 * scale / abs(x * slope)
+
+    for delta, eps in ((1.0, 0.2), (1.2486802634988499, 0.20443735341579522)):
+        x = noiseless_alpha_floor(ModelShape(delta=delta, epsilon=eps))
+        scale = (1.0 - eps) * null_terms(x) + eps * (1.0 + x * x) + delta
+        slope = 2.0 * eps * x + (1.0 - eps) * null_slope(x)
+        assert_within(x, mp_noiseless_floor(delta, eps), scale, slope)
+    x = alpha_min(ModelShape(delta=0.8, epsilon=0.1))
+    assert_within(x, mp_alpha_min(0.8), null_terms(x) + 0.8, null_slope(x))
 
 
 # --- calibration at fixed alpha ---------------------------------------------
@@ -378,6 +412,20 @@ def test_solve_alpha_given_lambda_validation():
     # lambda stays near 0.16 as alpha falls to the noiseless floor
     with pytest.raises(InfeasibleRegionError, match="below the achievable"):
         solve_alpha_given_lambda(PRIOR1, 1e-4, SHAPE)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(delta=st.floats(1.0, 4.0), eps=st.floats(0.02, 0.6))
+@example(delta=1.2486802634988499, eps=0.20443735341579522)  # N(floor) <= 0 in double
+def test_solve_alpha_given_lambda_below_reach_at_the_floor(delta, eps):
+    # tau falls to 0 only slowly as alpha falls to the noiseless floor, and
+    # lambda stays far above 1e-7 down to the resolution of alpha, where the
+    # walk to the floor stops: 1e-7 is below the achievable range.  A walk
+    # that reached the floor itself, where N may round to <= 0, raised
+    # "at or below the noiseless floor" from the tau solve instead.
+    prior = DiscretePrior.homogeneous(eps, 1.0)
+    with pytest.raises(InfeasibleRegionError, match="below the achievable"):
+        solve_alpha_given_lambda(prior, 1e-7, ModelShape(delta=delta, epsilon=eps))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
