@@ -25,9 +25,11 @@ from lassocrescent import (
     t_delta,
     t_nabla,
     touching_points,
+    tradeoff_curve,
     u_star,
     varsigma,
 )
+from lassocrescent.crescent import _upper_solver
 
 from oracles import (
     eps_star,
@@ -269,6 +271,37 @@ def test_upper_edge_monotone_and_above_lower():
     qd = [q_delta(float(u), SHAPE) for u in us]
     assert np.all(np.diff(qn) > 0)
     assert all(lo < hi for lo, hi in zip(qd, qn))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(0.2, 4.0),
+    ratio=st.floats(0.02, 0.6),
+    atoms=st.lists(
+        st.floats(-1.0, 3.0).map(lambda e: 10.0**e), min_size=1, max_size=4, unique=True
+    ),
+)
+def test_instance_curves_lie_in_the_crescent(delta, ratio, atoms):
+    # the paper's containment claim: every noiseless instance curve lies
+    # between the edges, q_delta(u) <= q <= q_nabla(u), at each of its levels
+    # where both edges exist.  A one-atom prior lies on the upper edge, so the
+    # bound holds there only to rounding.  Both points solve the same level to
+    # full precision, so their thresholds agree to a relative few ulps, and
+    # ln q moves by about t dt with t <= sqrt(delta / eps) <= 32 in this draw
+    # (Phi(-t) / phi(t) >= t / (1 + t^2)): t^2 x 4e-15 <= 4e-12.  Hence a
+    # relative slack of 1e-11.  A recorded run of 60 draws (351 points) had
+    # q / q_nabla - 1 <= 7.1e-14, at a one-atom prior with q ~ 1e-39.
+    eps = ratio * min(delta, 1.0)
+    shape = ModelShape(delta=delta, epsilon=eps)
+    curve = tradeoff_curve(DiscretePrior.from_levels(eps, atoms), shape, 6)
+    solver = _upper_solver(shape)
+    for u, q in zip(curve.tpp.tolist(), curve.fdp.tolist()):
+        try:
+            lower = q_delta(u, shape)
+            upper = q_form(t_nabla(u, shape, solver)[0], u, eps)
+        except InfeasibleRegionError:
+            continue
+        assert lower * (1.0 - 1e-11) <= q <= upper * (1.0 + 1e-11), (u, q, lower, upper)
 
 
 # --- assembled crescent -------------------------------------------------------
