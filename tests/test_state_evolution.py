@@ -398,7 +398,7 @@ def test_solve_alpha_given_lambda_roundtrip():
     # floor has to shrink once before it brackets the root
     pt = solve_alpha_given_lambda(PRIOR1, 0.21, SHAPE)
     assert pt.alpha == pytest.approx(1.9880129666251494, abs=1e-12)
-    assert pt.tau == pytest.approx(0.13852581835837313, abs=1e-12)
+    assert pt.tau == pytest.approx(0.13852581835734687, abs=1e-12)
     assert all(abs(r) < 1e-10 for r in equation_residuals(PRIOR1, pt))
 
 
