@@ -473,7 +473,9 @@ class _CurveSolver:
     def tau(self, alpha):
         tau = self._tau_cache.get(alpha)
         if tau is None:
-            tau = solve_tau_given_alpha(self.prior, alpha, self.shape, theta_hint=self._hint)
+            tau = solve_tau_given_alpha(
+                self.prior, alpha, self.shape, theta_hint=self._hint
+            )
             self._hint = 1.0 / tau
             self._tau_cache[alpha] = tau
         return tau
