@@ -60,9 +60,8 @@ from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob
 from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
 from .state_evolution import DiscretePrior, ModelShape, _CurveSolver, _check_alpha
 from .state_evolution import _fdp_at, _penalty_factor
-from .state_evolution import alpha_min, brentq, noiseless_alpha_floor
+from .state_evolution import _T_MAX, alpha_min, brentq, noiseless_alpha_floor
 
-_T_MAX = 60.0
 _EQ_TOL = 1e-9
 
 

@@ -52,6 +52,7 @@ from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob, _pdf as norm
 from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
 
 _RESIDUAL_TOL = 1e-10
+_T_MAX = 60.0  # bracket end of the noiseless roots; past it mse_null is ~0 in double
 _TPP_WINDOW = (0.01, 0.99)  # the TPP range tradeoff_curve samples, where achievable
 
 
@@ -254,39 +255,27 @@ def alpha_min(shape):
 
 def _null_excess(alpha, shape):
     # N(alpha): sign decides noiseless solvability; independent of atom values
-    a = np.asarray(alpha, dtype=float)
-    return (
-        (1.0 - shape.epsilon) * mse_null(a)
-        + shape.epsilon * (1.0 + np.square(a))
-        - shape.delta
-    )
+    eps = shape.epsilon
+    return (1.0 - eps) * mse_null(alpha) + eps * (1.0 + alpha * alpha) - shape.delta
 
 
 @lru_cache(maxsize=256)
-def _noiseless_floor_cached(delta, epsilon):
-    shape = ModelShape(delta=delta, epsilon=epsilon, sigma=0.0)
-    grid = np.linspace(0.0, 60.0, 2401)
-    vals = _null_excess(grid, shape)
-    if vals[-1] <= 0.0:
-        root = math.sqrt(delta / epsilon - 1.0)
+def _noiseless_floor_cached(delta, eps):
+    shape = ModelShape(delta=delta, epsilon=eps, sigma=0.0)
+    excess = lambda a: _null_excess(a, shape)
+    if excess(_T_MAX) <= 0.0:
+        root = math.sqrt(delta / eps - 1.0)
         if not math.isfinite(root):
             raise ConvergenceError(f"noiseless floor sqrt(delta/eps - 1) overflows for {shape}")
         return root
-    excess = lambda a: float(_null_excess(a, shape))
-    neg = np.nonzero(vals < 0.0)[0]
-    if len(neg):
-        k = neg[-1]  # last sign change from below zero to above
-        return brentq(excess, grid[k], grid[k + 1])
-    # N is convex (mse_null'' = 4 Phi(-t)), so its minimiser t_m lies within a
-    # step of the grid's lowest point, and a negative window narrower than a
-    # step can only be around t_m: N'(t) = 2 eps t - 4 (1 - eps)(phi(t) - t Phi(-t))
-    eps = shape.epsilon
+    # N is convex (mse_null'' = 4 Phi(-t)), and its slope
+    # N'(t) = 2 eps t - 4 (1 - eps)(phi(t) - t Phi(-t)) rises from
+    # -4 (1 - eps) phi(0) at 0 to 120 eps at 60
     slope = lambda t: 2.0 * eps * t - 4.0 * (1.0 - eps) * (normal_pdf(t) - t * normal_cdf(-t))
-    i = int(np.argmin(vals))
-    t_m = brentq(slope, grid[max(i - 1, 0)], grid[i + 1])
+    t_m = brentq(slope, 0.0, _T_MAX)
     if excess(t_m) >= 0.0:
         return 0.0
-    return brentq(excess, t_m, grid[i + 1])
+    return brentq(excess, t_m, _T_MAX)
 
 
 def noiseless_alpha_floor(shape):
@@ -294,12 +283,12 @@ def noiseless_alpha_floor(shape):
 
     With sigma = 0 the first calibration equation is solvable exactly for
     alpha above this floor; as alpha decreases to it, tau -> 0 and the
-    asymptotic TPP increases to 1.  The root is bracketed on a fixed scan of
-    [0, 60]; where N(60) <= 0 it lies above 60, where N(alpha) = eps (1 +
-    alpha^2) - delta in double, and is sqrt(delta/eps - 1).  Where no grid
-    point is negative, N may still dip below 0 between two of them just
-    below the phase transition; the root is then bracketed from N's
-    minimiser.  Raises ``ConvergenceError`` only where delta/eps overflows.
+    asymptotic TPP increases to 1.  Where N(60) <= 0 the root lies above 60,
+    where N(alpha) = eps (1 + alpha^2) - delta in double, and is
+    sqrt(delta/eps - 1).  Otherwise N, which is convex, is negative
+    somewhere exactly where it is at its minimiser t_m, the root of N' on
+    [0, 60], and then the root is bracketed by [t_m, 60].  Raises
+    ``ConvergenceError`` only where delta/eps overflows.
     """
     return _noiseless_floor_cached(shape.delta, shape.epsilon)
 
