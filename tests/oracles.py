@@ -12,8 +12,9 @@ on the same inputs: the path solver's level pass against its first form
 (masks and level map by ``np.where``), and the touching levels against the
 damped fixed-point iteration over the library's t_delta.  The path solver's
 solutions are also checked against the fixed point of approximate message
-passing.  The noiseless floor and alpha_min have 40-digit references in
-mpmath, from the integral that defines mse_null.
+passing.  The noiseless floor, alpha_min and the calibrated magnitude of a
+one-atom prior have 40-digit references in mpmath, from the integrals that
+define mse_null and mse_signal.
 """
 
 import math
@@ -275,6 +276,65 @@ def mp_alpha_min(delta):
     with mp.workdps(_MP_DPS):
         delta = mp.mpf(delta)
         return _mp_scan_root(lambda a: mp_mse_null(a) - delta, mp.mpf(0), mp.mpf(1) / 16)
+
+
+def mp_mse_signal(m, a):
+    """E[(eta(m + W; a) - m)^2] from its integral over w, split at the kinks
+    w = lo = -m - a and hi = a - m of the soft threshold (m, a mpf): the
+    error is w + a below lo, -m between, and w - a above hi.  The part above
+    hi is written as E[(W - a)^2] = 1 + a^2 less its integral below hi, so
+    that ``mp.quad`` runs only on [-inf, lo] and [lo, hi], not across the
+    bulk of the Gaussian:
+
+        mse_signal = 1 + a^2 + int_{-inf}^{lo} 4 a w phi + int_lo^hi (m^2 - (w - a)^2) phi
+    """
+    phi = lambda w: mp.exp(-w * w / 2) / mp.sqrt(2 * mp.pi)
+    lo, hi = -m - a, a - m
+    return (
+        1
+        + a * a
+        + mp.quad(lambda w: 4 * a * w * phi(w), [-mp.inf, lo])
+        + mp.quad(lambda w: (m * m - (w - a) ** 2) * phi(w), [lo, hi])
+    )
+
+
+def mp_homogeneous_magnitude(alpha, delta, prob, null_mass):
+    """Normalized magnitude m = v/tau of a one-atom prior (mass ``prob`` at v,
+    ``null_mass`` at 0) calibrated at sigma = 0 and threshold alpha, to 40
+    digits: the root of null_mass mse_null(alpha) + prob mse_signal(m, alpha)
+    = delta, with every argument a double taken exactly.  mse_signal(m, a)
+    rises in m, from mse_null(a) at 0 to 1 + a^2, so where alpha lies above
+    the noiseless floor an ascending scan in unit steps from 0 brackets it.
+    tau = v/m, and varsigma = m - alpha for v = 1."""
+    with mp.workdps(_MP_DPS):
+        a = mp.mpf(alpha)
+        null = mp.mpf(null_mass) * mp_mse_null(a) - mp.mpf(delta)
+        f = lambda m: -(null + mp.mpf(prob) * mp_mse_signal(m, a))
+        return _mp_scan_root(f, mp.mpf(0), mp.mpf(1))
+
+
+def homogeneous_magnitude_bound(m, alpha, delta, prob, null_mass, k=4.0):
+    """How far a double root m of ``mp_homogeneous_magnitude``'s equation
+    F(m) = 0, solved to full precision, may lie from the exact one:
+    k eps S / |F'(m)|, eps = 2^-52.  S sums the magnitudes of F's terms
+    before they cancel, those of mse_null(a) = 2(1 + a^2) Phi(-a) - 2 a phi(a)
+    and of mse_signal(m, a) = (1 + a^2)[Phi(m - a) + Phi(-m - a)]
+    + m^2 [Phi(a - m) - Phi(-a - m)] - (a + m) phi(a - m) - (a - m) phi(a + m)
+    among them, so eps S bounds the rounding of F.  F'(m) = prob d
+    mse_signal / dm = 2 prob m P(|m + W| <= a): a rounding of F moves the
+    root by it over that slope."""
+    cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
+    pdf = lambda x: _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    a2, mid = 1.0 + alpha * alpha, cdf(alpha - m) - cdf(-alpha - m)
+    null_terms = 2.0 * a2 * cdf(-alpha) + 2.0 * alpha * pdf(alpha)
+    signal_terms = (
+        a2 * (cdf(m - alpha) + cdf(-m - alpha))
+        + m * m * mid
+        + abs(alpha + m) * pdf(alpha - m)
+        + abs(alpha - m) * pdf(alpha + m)
+    )
+    scale = null_mass * null_terms + prob * signal_terms + delta
+    return k * 2.0**-52 * scale / abs(2.0 * prob * m * mid)
 
 
 def t_delta_grid(us, delta, eps, step=0.05, t_max=60.0, iters=48):
