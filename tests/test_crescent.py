@@ -33,6 +33,8 @@ from lassocrescent.crescent import _upper_solver
 
 from oracles import (
     eps_star,
+    homogeneous_magnitude_bound,
+    mp_homogeneous_magnitude,
     q_form,
     t_delta_grid,
     t_delta_scan,
@@ -187,13 +189,19 @@ def test_varsigma_frozen_and_identity():
     assert vs == pytest.approx(varsigma_scan(2.2, 1.0, 0.2), abs=1e-9)
     # just above the noiseless floor the root lies far out, where the equation
     # is so flat that rounding moves its double-precision root by ~1e-9 (a
-    # 40-digit solve at this alpha, 1.9880129183375332, gives 5.5456908030):
+    # 40-digit solve at this alpha, 1.988012918337533, gives 5.5456908069):
     # hence the looser scan match
     a = noiseless_alpha_floor(SHAPE) + 1e-8
     vs = varsigma(a, SHAPE)
-    assert vs == pytest.approx(5.545690804410249, abs=1e-10)
+    assert vs == pytest.approx(5.545690804201644, abs=1e-10)
     assert abs(0.8 * mse_null(a) + 0.2 * mse_signal(vs + a, a) - 1.0) < 1e-9
     assert vs == pytest.approx(varsigma_scan(a, 1.0, 0.2), abs=1e-6)
+    # and within the rounding bound of that flat root, from the 40-digit
+    # magnitude m = vs + a of the prior's doubles (recorded ratio 0.23 of it)
+    null_mass = DiscretePrior.homogeneous(0.2, 1.0).null_mass
+    m = mp_homogeneous_magnitude(a, 1.0, 0.2, null_mass)
+    bound = homogeneous_magnitude_bound(float(m), a, 1.0, 0.2, null_mass)
+    assert abs(float(vs - (m - a))) <= bound
 
 
 def test_varsigma_matches_homogeneous_calibration():
