@@ -47,7 +47,9 @@ from oracles import (
     eps_star,
     exceedance,
     fixed_point_tau,
+    homogeneous_magnitude_bound,
     mp_alpha_min,
+    mp_homogeneous_magnitude,
     mp_noiseless_floor,
 )
 
@@ -398,8 +400,13 @@ def test_solve_alpha_given_lambda_roundtrip():
     # floor has to shrink once before it brackets the root
     pt = solve_alpha_given_lambda(PRIOR1, 0.21, SHAPE)
     assert pt.alpha == pytest.approx(1.9880129666251494, abs=1e-12)
-    assert pt.tau == pytest.approx(0.13852581835734687, abs=1e-12)
+    assert pt.tau == pytest.approx(0.1385258183562842, abs=1e-12)
     assert all(abs(r) < 1e-10 for r in equation_residuals(PRIOR1, pt))
+    # tau = 1/m at this double alpha lies within the rounding bound of the
+    # flat root m, from its 40-digit value (recorded ratio 0.37 of it)
+    m = mp_homogeneous_magnitude(pt.alpha, 1.0, 0.2, PRIOR1.null_mass)
+    bound = homogeneous_magnitude_bound(float(m), pt.alpha, 1.0, 0.2, PRIOR1.null_mass)
+    assert abs(float(pt.tau * m - 1)) <= bound / float(m)
 
 
 def test_solve_alpha_given_lambda_validation():
