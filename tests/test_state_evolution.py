@@ -192,8 +192,8 @@ def test_noiseless_alpha_floor():
 
 
 def test_noiseless_floor_just_below_the_phase_transition():
-    # just below eps*, N's negative window is narrower than the floor's
-    # 0.025 grid step; the floor was then read as 0, u_star came out above 1
+    # just below eps*, N's negative window is narrower than 0.025: a floor
+    # found by a scan in steps of 0.025 read it as 0, u_star came out above 1
     # and the homogeneous curve refused every alpha
     for delta in (0.1, 0.3, 0.9):
         es = eps_star(delta)
@@ -208,6 +208,50 @@ def test_noiseless_floor_just_below_the_phase_transition():
             # just above eps*, N > 0 everywhere and the floor is 0
             above = ModelShape(delta=delta, epsilon=(1.0 + 10.0**-j) * es)
             assert noiseless_alpha_floor(above) == 0.0
+
+
+@st.composite
+def _floor_shapes(draw):
+    # (delta, eps): free draws, shapes 1e-6 to 1e-3 relative from eps* on
+    # either side, and shapes with N(60) <= 0, eps <= delta / 3601
+    kind = draw(st.sampled_from(["free", "transition", "far"]))
+    if kind == "transition":
+        delta = draw(st.floats(0.1, 0.99))
+        rel = draw(st.floats(-6.0, -3.0).map(lambda e: 10.0**e))
+        return delta, eps_star(delta) * (1.0 + draw(st.sampled_from([-rel, rel])))
+    delta = draw(st.floats(0.1, 4.0))
+    if kind == "far":
+        return delta, delta / 3601.0 * draw(st.floats(1e-3, 1.0))
+    return delta, draw(st.floats(1e-4, 0.9))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_floor_shapes())
+@example((1.0, 0.2))
+@example((1.2486802634988499, 0.20443735341579522))  # N(floor) <= 0 in double
+@example((0.1, 0.9999 * eps_star(0.1)))
+def test_noiseless_floor_is_the_largest_root_of_n(shape):
+    # N is convex, so one route finds its largest root: N(f) = 0 to rounding,
+    # N > 0 on (f, 60], and f > 0 exactly where N dips below 0: for
+    # delta >= 1, where N(0) = 1 - delta <= 0 and N'(0) < 0, and below the
+    # phase transition.  N(f) / (f N'(f)) is f's relative distance to the
+    # root, bounded as in the oracle test below by 4 eps cond with
+    # cond = S / |f N'(f)|: so |N(f)| <= 4 eps S.
+    delta, eps = shape
+    f = noiseless_alpha_floor(ModelShape(delta=delta, epsilon=eps))
+    n = lambda t: (1.0 - eps) * mse_null(t) + eps * (1.0 + t * t) - delta
+    assert (f > 0.0) == (delta >= 1.0 or eps < eps_star(delta))
+    if f == 0.0:
+        assert np.all(n(np.geomspace(1e-9, 60.0, 40)) > 0.0)
+        return
+    slope = 2.0 * eps * f - 4.0 * (1.0 - eps) * (normal_pdf(f) - f * normal_cdf(-f))
+    scale = (1.0 - eps) * (2.0 * (1.0 + f * f) * normal_cdf(-f) + 2.0 * f * normal_pdf(f))
+    scale += eps * (1.0 + f * f) + delta
+    assert abs(n(f)) <= 4.0 * 2.0**-52 * scale
+    # past the root's rounding width, N is positive up to 60
+    width = 8.0 * 4.0 * 2.0**-52 * scale / abs(slope)
+    if f + width < 60.0:
+        assert np.all(n(np.geomspace(f + width, 60.0, 40)) > 0.0)
 
 
 def test_floor_and_alpha_min_match_the_40_digit_oracle():
