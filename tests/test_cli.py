@@ -65,14 +65,16 @@ def read_table(path):
 
 def test_import_leaves_out_scipy_signal():
     # every CLI call and every pool worker imports the package; scipy.signal
-    # alone would add ~0.9 s and ~47 MB to each of them (2-vCPU VM)
+    # alone would add ~0.9 s and ~47 MB to each of them (2-vCPU VM).  The
+    # process pool's module (~10 ms) is loaded only by runs with jobs > 1.
+    code = "import sys, lassocrescent.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     res = subprocess.run(
-        [sys.executable, "-c", "import sys, lassocrescent.cli; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-c", code, "scipy.signal", "concurrent.futures.process"],
         capture_output=True,
         text=True,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
 
 
 def test_simulation_half_leaves_out_scipy_optimize_and_special(tmp_path):
