@@ -459,7 +459,10 @@ def run_tradeoff_experiment(config, jobs=1):
     mat = np.vstack([r.grid_fdp for r in results])
     n_ok = mat.shape[0]
     mean = mat.mean(axis=0)
-    se = mat.std(axis=0, ddof=1) / math.sqrt(n_ok) if n_ok > 1 else np.zeros(mat.shape[1])
+    # the spread about the first replicate, which is shift-invariant: where all
+    # FDPs are equal it is exactly 0, while the mean of equal doubles may round
+    spread = (mat - mat[0]).std(axis=0, ddof=1) if n_ok > 1 else np.zeros(mat.shape[1])
+    se = spread / math.sqrt(n_ok)
     return TradeoffSummary(
         tpp_grid=config.tpp_grid, mean_fdp=mean, se_fdp=se, n_ok=n_ok, replicates=results
     )

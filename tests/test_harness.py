@@ -342,6 +342,24 @@ def test_run_tradeoff_experiment_shapes_and_determinism():
         )
 
 
+def test_tradeoff_se_is_exactly_zero_where_replicate_fdps_are_equal():
+    # at TPP 1.0 each of the three replicates selects all 10 signals and 39
+    # nulls; the mean of those equal FDPs rounds one ulp away from them, and
+    # a spread taken about the mean read 7.85e-17
+    config = _tiny_tradeoff_config(
+        design=DesignSpec(kind="iid_gaussian", n=50, p=80),
+        coefficients=CoefficientSpec(kind="linear", p=80, k=10),
+        sigma=0.1,
+        seed=0,
+        tpp_grid=(0.5, 1.0),
+    )
+    summary = run_tradeoff_experiment(config)
+    fdps = [r.grid_fdp[1] for r in summary.replicates]
+    assert fdps == [39 / 49] * 3
+    assert summary.se_fdp[1] == 0.0
+    assert summary.se_fdp[0] > 0.0
+
+
 def test_run_tradeoff_mode_check():
     config = _tiny_tradeoff_config()
     with pytest.raises(ValueError):
