@@ -410,12 +410,9 @@ def _run_tasks(tasks, jobs):
     if not (isinstance(jobs, numbers.Integral) and not isinstance(jobs, bool) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     results, failed = [], []
-    pool = contextlib.nullcontext()
     if jobs > 1:  # imported here, so that runs without a pool never load it (~10 ms)
         from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-    with pool as pool:
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
         calls = [
             pool.submit(fn, *args).result if pool else functools.partial(fn, *args)
             for fn, args in tasks

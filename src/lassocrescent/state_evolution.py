@@ -52,7 +52,7 @@ from .gauss import _cdf as normal_cdf, _excess_prob as excess_prob, _pdf as norm
 from .gauss import _mse_null as mse_null, _mse_signal as mse_signal
 
 _RESIDUAL_TOL = 1e-10
-_T_MAX = 60.0  # bracket end of the noiseless roots; past it mse_null is ~0 in double
+_T_MAX = 60.0  # bracket end of the noiseless roots, where mse_null has underflowed to 0
 _TPP_WINDOW = (0.01, 0.99)  # the TPP range tradeoff_curve samples, where achievable
 
 
