@@ -197,7 +197,7 @@ def test_varsigma_frozen_and_identity():
     assert abs(0.8 * mse_null(a) + 0.2 * mse_signal(vs + a, a) - 1.0) < 1e-9
     assert vs == pytest.approx(varsigma_scan(a, 1.0, 0.2), abs=1e-6)
     # and within the rounding bound of that flat root, from the 40-digit
-    # magnitude m = vs + a of the prior's doubles (recorded ratio 0.23 of it)
+    # magnitude m = vs + a of the prior's doubles (error 0.23 eps S / |F'|, 4 allowed)
     null_mass = DiscretePrior.homogeneous(0.2, 1.0).null_mass
     m = mp_homogeneous_magnitude(a, 1.0, 0.2, null_mass)
     bound = homogeneous_magnitude_bound(float(m), a, 1.0, 0.2, null_mass)

@@ -447,7 +447,7 @@ def test_solve_alpha_given_lambda_roundtrip():
     assert pt.tau == pytest.approx(0.1385258183562842, abs=1e-12)
     assert all(abs(r) < 1e-10 for r in equation_residuals(PRIOR1, pt))
     # tau = 1/m at this double alpha lies within the rounding bound of the
-    # flat root m, from its 40-digit value (recorded ratio 0.37 of it)
+    # flat root m, from its 40-digit value (error 0.37 eps S / |m F'|, 4 allowed)
     m = mp_homogeneous_magnitude(pt.alpha, 1.0, 0.2, PRIOR1.null_mass)
     bound = homogeneous_magnitude_bound(float(m), pt.alpha, 1.0, 0.2, PRIOR1.null_mass)
     assert abs(float(pt.tau * m - 1)) <= bound / float(m)
