@@ -313,12 +313,13 @@ def mp_homogeneous_magnitude(alpha, delta, prob, null_mass):
         return _mp_scan_root(f, mp.mpf(0), mp.mpf(1))
 
 
-def homogeneous_magnitude_bound(m, alpha, delta, prob, null_mass, k=4.0):
+def homogeneous_magnitude_bound(m, alpha, delta, prob, null_mass):
     """How far a double root m of ``mp_homogeneous_magnitude``'s equation
     F(m) = 0, solved to full precision, may lie from the exact one:
-    k eps S / |F'(m)|, eps = 2^-52.  S sums the magnitudes of F's terms
-    before they cancel, those of mse_null(a) = 2(1 + a^2) Phi(-a) - 2 a phi(a)
-    and of mse_signal(m, a) = (1 + a^2)[Phi(m - a) + Phi(-m - a)]
+    K eps S / |F'(m)| with K = 4, as for the floor, and eps = 2^-52.  S sums
+    the magnitudes of F's terms before they cancel, those of
+    mse_null(a) = 2(1 + a^2) Phi(-a) - 2 a phi(a) and of
+    mse_signal(m, a) = (1 + a^2)[Phi(m - a) + Phi(-m - a)]
     + m^2 [Phi(a - m) - Phi(-a - m)] - (a + m) phi(a - m) - (a - m) phi(a + m)
     among them, so eps S bounds the rounding of F.  F'(m) = prob d
     mse_signal / dm = 2 prob m P(|m + W| <= a): a rounding of F moves the
@@ -334,7 +335,7 @@ def homogeneous_magnitude_bound(m, alpha, delta, prob, null_mass, k=4.0):
         + abs(alpha - m) * pdf(alpha + m)
     )
     scale = null_mass * null_terms + prob * signal_terms + delta
-    return k * 2.0**-52 * scale / abs(2.0 * prob * m * mid)
+    return 4.0 * 2.0**-52 * scale / abs(2.0 * prob * m * mid)
 
 
 def t_delta_grid(us, delta, eps, step=0.05, t_max=60.0, iters=48):
