@@ -102,8 +102,8 @@ class DesignSpec:
                 raise ValueError(f"unknown correlation structure {self.structure!r}")
         if self.kind == "genotype_file" and not (isinstance(self.path, str) and self.path):
             raise ValueError(f"genotype_file design needs a file path, got {self.path!r}")
-        if self.variance_scale is not None and not self.variance_scale > 0:
-            raise ValueError(f"variance_scale must be positive, got {self.variance_scale}")
+        if self.variance_scale is not None and not 0 < self.variance_scale < math.inf:
+            raise ValueError(f"variance_scale must be finite and > 0, got {self.variance_scale}")
 
     @property
     def scale(self):
@@ -188,10 +188,11 @@ class ExperimentConfig:
             raise ValueError("replicates must be positive")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        # a genotype file fixes p only when it is loaded
-        if self.design.kind != "genotype_file" and self.coefficients.p != self.design.p:
+        # a genotype file's p is 0 until config_from_json reads it from the file
+        if self.design.p and self.coefficients.p != self.design.p:
             raise ValueError(
-                f"coefficients.p = {self.coefficients.p} disagrees with design.p = {self.design.p}"
+                f"coefficients.p = {self.coefficients.p} disagrees with the "
+                f"{self.design.p} columns of the design"
             )
         # an empty grid is kept for ``path``; run_tradeoff_experiment needs one
         grid = tuple(float(g) for g in self.tpp_grid)
@@ -334,18 +335,13 @@ def fdp_on_grid(event_tpp, event_fdp, grid):
 
     For each grid point: among events whose TPP does not exceed it, take the
     one with the largest TPP (latest in path order on ties); grid points
-    below every event TPP get 0.
+    below every event TPP get 0.  In a stable sort by TPP that event is the
+    last one at or below the grid point, so one sorted lookup finds them all.
     """
     event_tpp = np.asarray(event_tpp, dtype=float)
-    event_fdp = np.asarray(event_fdp, dtype=float)
-    out = np.zeros(len(grid))
-    for i, g in enumerate(grid):
-        ok = np.flatnonzero(event_tpp <= g)
-        if ok.size:
-            best = event_tpp[ok].max()
-            last = ok[np.flatnonzero(event_tpp[ok] >= best - 1e-15)][-1]
-            out[i] = event_fdp[last]
-    return out
+    order = np.argsort(event_tpp, kind="stable")
+    fdp = np.concatenate(([0.0], np.asarray(event_fdp, dtype=float)[order]))
+    return fdp[np.searchsorted(event_tpp[order], grid, side="right")]
 
 
 def _simulate_instance(config, rep_id, tag=0):
@@ -455,11 +451,11 @@ def run_tradeoff_experiment(config, jobs=1):
     results = _run_tasks(tasks, jobs)
     mat = np.vstack([r.grid_fdp for r in results])
     n_ok = mat.shape[0]
-    mean = mat.mean(axis=0)
-    # the spread about the first replicate, which is shift-invariant: where all
-    # FDPs are equal it is exactly 0, while the mean of equal doubles may round
-    spread = (mat - mat[0]).std(axis=0, ddof=1) if n_ok > 1 else np.zeros(mat.shape[1])
-    se = spread / math.sqrt(n_ok)
+    # mean and SE both from the deviations about the first replicate: where all
+    # FDPs are equal these are 0, so the mean is that FDP exactly and the SE 0
+    dev = mat - mat[0]
+    spread = dev.std(axis=0, ddof=1) if n_ok > 1 else np.zeros(mat.shape[1])
+    mean, se = mat[0] + dev.mean(axis=0), spread / math.sqrt(n_ok)
     return TradeoffSummary(
         tpp_grid=config.tpp_grid, mean_fdp=mean, se_fdp=se, n_ok=n_ok, replicates=results
     )
@@ -494,16 +490,9 @@ def run_rank_experiment(config, jobs=1):
     for tag, (value, _) in enumerate(settings):
         chunk = results[tag * reps : (tag + 1) * reps]
         ranks = np.array([r.rank for r in chunk], dtype=float)
-        rows.append(
-            (
-                float(value),
-                float(ranks.mean()),
-                float(np.median(ranks)),
-                float(np.quantile(ranks, 0.1)),
-                float(np.quantile(ranks, 0.9)),
-                int(sum(r.censored for r in chunk)),
-            )
-        )
+        median, q10, q90 = map(float, np.quantile(ranks, (0.5, 0.1, 0.9)))
+        censored = sum(r.censored for r in chunk)
+        rows.append((float(value), float(ranks.mean()), median, q10, q90, censored))
         reps_by_value[float(value)] = chunk
     return RankSummary(sweep_param=config.sweep_param, rows=rows, replicates=reps_by_value)
 
@@ -602,22 +591,24 @@ def fields_from_json(cls, obj, name, **defaults):
 
 def config_from_json(obj):
     """ExperimentConfig from a parsed JSON object or its text; ``coefficients.p``
-    defaults to ``design.p``."""
+    defaults to ``design.p``.  A genotype file present here gives ``design.n``
+    and ``design.p``, which the config may leave out but not contradict."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     kwargs = fields_from_json(ExperimentConfig, obj, "config")
     design = DesignSpec(**fields_from_json(DesignSpec, kwargs["design"], "design"))
+    # a file missing here is left to fail in every replicate
+    if design.kind == "genotype_file" and os.path.isfile(design.path):
+        n, p = load_design_file(design.path).shape
+        if (design.n or n, design.p or p) != (n, p):
+            raise ValueError(
+                f"design n = {design.n}, p = {design.p} disagree with the {n} rows and "
+                f"{p} columns of {design.path}"
+            )
+        design = dataclasses.replace(design, n=n, p=p)
     coefficients = CoefficientSpec(
         **fields_from_json(CoefficientSpec, kwargs["coefficients"], "coefficients", p=design.p)
     )
-    # a file missing here is left to fail in every replicate
-    if design.kind == "genotype_file" and os.path.isfile(design.path):
-        n_cols = load_design_file(design.path).shape[1]
-        if coefficients.p != n_cols:
-            raise ValueError(
-                f"coefficients.p = {coefficients.p} disagrees with the {n_cols} columns "
-                f"of {design.path}"
-            )
     return ExperimentConfig(**{**kwargs, "design": design, "coefficients": coefficients})
 
 

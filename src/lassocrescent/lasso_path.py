@@ -250,11 +250,12 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     max_active : stop once the active set reaches this size, an integer
         in [1, min(n, p)] (default min(n - 1, p), at least 1).
     stop_outside_support : optional stop set S of variable indices, integers
-        in [0, p); the path stops immediately after the first add event
-        outside it (stopping reason "first_false"), which is all the
-        first-false-rank statistic needs.  When p <= n and 2|S| < p only the
-        Gram columns of S are formed (see "Cost and memory" above).  A stop
-        set of all p variables never stops the path, and is no stop set.
+        in [0, p) (a boolean is not one); the path stops immediately after
+        the first add event outside it (stopping reason "first_false"), which
+        is all the first-false-rank statistic needs.  When p <= n and
+        2|S| < p only the Gram columns of S are formed (see "Cost and memory"
+        above).  A stop set of all p variables never stops the path, and is
+        no stop set.
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -282,7 +283,8 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     allowed = None
     if stop_outside_support is not None:
         support = list(stop_outside_support)
-        bad = [v for v in support if not (isinstance(v, numbers.Integral) and 0 <= v < p)]
+        ok = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v < p
+        bad = [v for v in support if not ok(v)]
         if bad:
             raise ValueError(
                 f"stop_outside_support must hold integers in [0, {p}), got {bad[0]!r}"

@@ -120,7 +120,7 @@ class DiscretePrior:
     @classmethod
     def homogeneous(cls, epsilon: float, magnitude: float):
         """Single-effect-size prior: magnitude with probability epsilon."""
-        return cls(atoms=((magnitude, epsilon),), null_mass=1.0 - epsilon)
+        return cls.from_levels(epsilon, (magnitude,))
 
     @classmethod
     def heterogeneous(cls, epsilon: float, m: int, base: float):
@@ -141,11 +141,7 @@ class DiscretePrior:
             raise ValueError(f"base**{m} overflows")
         if last == 0.0:
             raise ValueError("atom values must be finite and nonzero")
-        values = [base**i for i in range(1, m + 1)]
-        return cls(
-            atoms=tuple((v, epsilon / m) for v in values),
-            null_mass=1.0 - epsilon,
-        )
+        return cls.from_levels(epsilon, [base**i for i in range(1, m + 1)])
 
     @classmethod
     def from_levels(
@@ -423,7 +419,8 @@ def tradeoff_point(prior, alpha, shape):
     """Asymptotic (TPP, FDP) of the Lasso calibrated at threshold alpha."""
     _require_matching_sparsity(prior, shape)
     tau = solve_tau_given_alpha(prior, alpha, shape)
-    return _tradeoff_given_tau(prior, alpha, shape, tau)
+    tpp = _tpp_given_tau(prior, alpha, shape, tau)
+    return tpp, _fdp_at(alpha, tpp, shape.epsilon)
 
 
 def _fdp_at(t, u, epsilon):
@@ -435,11 +432,6 @@ def _fdp_at(t, u, epsilon):
 
 def _tpp_given_tau(prior, alpha, shape, tau):
     return float(np.sum((prior.probs / shape.epsilon) * excess_prob(prior.values / tau, alpha)))
-
-
-def _tradeoff_given_tau(prior, alpha, shape, tau):
-    tpp = _tpp_given_tau(prior, alpha, shape, tau)
-    return tpp, _fdp_at(alpha, tpp, shape.epsilon)
 
 
 class _CurveSolver:
@@ -594,7 +586,7 @@ def tradeoff_curve(prior, shape, n_points):
     taus = np.array([solver.tau(a) for a in alphas])
     tpps = np.array([solver.tpp(a) for a in alphas])
     fdps = np.array([_fdp_at(a, u, shape.epsilon) for a, u in zip(alphas, tpps)])
-    lams = _penalty_factor(alphas, tpps, shape) * alphas * taus
+    lams = np.array([solver.lam(a) for a in alphas])
 
     order = np.argsort(tpps)
     return TradeoffCurve(

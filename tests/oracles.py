@@ -7,10 +7,11 @@ effective-noise calibration by damped fixed-point iteration, boundary
 thresholds by descending grid scans (largest-root semantics) plus Brent
 refinement or bisection, Lasso solutions by coordinate descent with a
 duality-gap certificate, and correlated designs by factoring the full
-p x p covariance.  Two solvers are checked against the form they replaced,
+p x p covariance.  Three routines are checked against the form they replaced,
 on the same inputs: the path solver's level pass against its first form
-(masks and level map by ``np.where``), and the touching levels against the
-damped fixed-point iteration over the library's t_delta.  The path solver's
+(masks and level map by ``np.where``), the touching levels against the
+damped fixed-point iteration over the library's t_delta, and the grid FDP
+lookup against a scan of every event per grid point.  The path solver's
 solutions are also checked against the fixed point of approximate message
 passing.  The noiseless floor, alpha_min and the calibrated magnitude of a
 one-atom prior have 40-digit references in mpmath, from the integrals that
@@ -109,15 +110,6 @@ def quad_excess(v, alpha):
     if lo_to > -8.5:
         total += quad(f, -8.5, lo_to, epsabs=1e-11, limit=80)[0]
     return total
-
-
-def phi_quad(a, b):
-    """Integral of the standard normal density over [a, b] (clipped to +-13)."""
-    a, b = max(a, -13.0), min(b, 13.0)
-    if a >= b:
-        return 0.0
-    val, _ = quad(norm.pdf, a, b, epsabs=1e-14, limit=200)
-    return val
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -541,3 +533,19 @@ def path_levels(a, c, lam, dropped, slots, b, d):
         (drop_at > 0.0) & (drop_at < lo) & (np.abs(d) >= 1e-300), drop_at, -np.inf
     )
     return level
+
+
+def fdp_on_grid_scan(event_tpp, event_fdp, grid):
+    """``harness.fdp_on_grid`` as first written: for each grid point, scan the
+    events for the largest TPP not above it and take the latest event within
+    1e-15 of that TPP; 0 below every event."""
+    event_tpp = np.asarray(event_tpp, dtype=float)
+    event_fdp = np.asarray(event_fdp, dtype=float)
+    out = np.zeros(len(grid))
+    for i, g in enumerate(grid):
+        ok = np.flatnonzero(event_tpp <= g)
+        if ok.size:
+            best = event_tpp[ok].max()
+            last = ok[np.flatnonzero(event_tpp[ok] >= best - 1e-15)][-1]
+            out[i] = event_fdp[last]
+    return out

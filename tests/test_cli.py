@@ -526,6 +526,12 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys):
     res_cols = run_cli(["simulate", "--config", json.dumps(config)], outdir=tmp_path)
     assert res_cols.returncode == 2
     assert "7 columns" in res_cols.stderr
+    # and design n, p against its rows and columns
+    config["coefficients"]["p"] = 7
+    for design_size in ({"n": 5}, {"p": 8}):
+        config["design"] = {"kind": "genotype_file", "path": str(fpath), **design_size}
+        assert main(["simulate", "--config", json.dumps(config)]) == 2
+        assert "40 rows and 7 columns" in capsys.readouterr().err
     config["design"]["path"] = [str(fpath)]
     assert main(["simulate", "--config", json.dumps(config)]) == 2
     assert "needs a file path" in capsys.readouterr().err

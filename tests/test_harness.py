@@ -29,7 +29,7 @@ from lassocrescent import (
     tpp_fdp_along_path,
 )
 from lassocrescent.harness import _rank_replicate, _settings, _simulate_instance
-from oracles import cholesky_design
+from oracles import cholesky_design, fdp_on_grid_scan
 
 
 # --- designs ------------------------------------------------------------------
@@ -152,8 +152,9 @@ def test_design_validation():
         DesignSpec(kind="correlated_gaussian", n=10, p=10, rho=0.5, structure="banded")
     with pytest.raises(ValueError):
         DesignSpec(kind="genotype_file", n=10, p=10)
-    with pytest.raises(ValueError):
-        DesignSpec(kind="iid_gaussian", n=10, p=10, variance_scale=0.0)
+    for variance_scale in (0.0, float("inf")):  # JSON reads 1e400 as inf
+        with pytest.raises(ValueError, match="variance_scale"):
+            DesignSpec(kind="iid_gaussian", n=10, p=10, variance_scale=variance_scale)
     # a field the kind ignores would be echoed, never drawn
     for kind in ("iid_gaussian", "bernoulli_pm"):
         for name, value in (("rho", 0.5), ("structure", "equicorrelation"), ("path", "x.csv")):
@@ -307,6 +308,27 @@ def test_fdp_on_grid_empty_events():
     assert out.tolist() == [0.0, 0.0]
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 6),
+    nulls=st.integers(0, 6),
+    toggles=st.lists(st.integers(0, 11), max_size=40),
+    extra=st.lists(st.floats(0.0, 1.0), max_size=4),
+)
+def test_fdp_on_grid_lookup_matches_the_scan(k, nulls, toggles, extra):
+    # each event adds or drops one of k true variables (0..k-1) or of the
+    # nulls; TPP = tp/k and FDP = false/|active| as tpp_fdp_along_path has
+    # them, so equal TPPs are exact ties.  The grid holds 0, 1 and every TPP.
+    active, tpps, fdps = set(), [], []
+    for v in toggles:
+        active ^= {v % (k + nulls)}
+        tp = sum(u < k for u in active)
+        tpps.append(tp / k)
+        fdps.append((len(active) - tp) / max(len(active), 1))
+    grid = tuple(sorted({0.0, 1.0, *tpps, *extra}))
+    assert np.array_equal(fdp_on_grid(tpps, fdps, grid), fdp_on_grid_scan(tpps, fdps, grid))
+
+
 # --- experiment runners ------------------------------------------------------------
 
 
@@ -344,8 +366,8 @@ def test_run_tradeoff_experiment_shapes_and_determinism():
 
 def test_tradeoff_se_is_exactly_zero_where_replicate_fdps_are_equal():
     # at TPP 1.0 each of the three replicates selects all 10 signals and 39
-    # nulls; the mean of those equal FDPs rounds one ulp away from them, and
-    # a spread taken about the mean read 7.85e-17
+    # nulls; the plain mean of those equal FDPs rounds one ulp away from them,
+    # and a spread taken about it read 7.85e-17
     config = _tiny_tradeoff_config(
         design=DesignSpec(kind="iid_gaussian", n=50, p=80),
         coefficients=CoefficientSpec(kind="linear", p=80, k=10),
@@ -356,6 +378,7 @@ def test_tradeoff_se_is_exactly_zero_where_replicate_fdps_are_equal():
     summary = run_tradeoff_experiment(config)
     fdps = [r.grid_fdp[1] for r in summary.replicates]
     assert fdps == [39 / 49] * 3
+    assert summary.mean_fdp[1] == 39 / 49
     assert summary.se_fdp[1] == 0.0
     assert summary.se_fdp[0] > 0.0
 
@@ -790,6 +813,27 @@ def test_config_from_json_error_reporting():
     for seed in (-1, 1.5):
         with pytest.raises(ValueError, match="seed"):
             _tiny_tradeoff_config(seed=seed)
+
+
+def test_genotype_config_takes_n_and_p_from_its_file(tmp_path):
+    fpath = tmp_path / "geno.csv"
+    np.savetxt(fpath, np.random.default_rng(8).integers(0, 3, size=(30, 8)), delimiter=",")
+    obj = {
+        "design": {"kind": "genotype_file", "path": str(fpath)},
+        "coefficients": {"kind": "equal", "magnitude": 5.0, "k": 2},
+        "tpp_grid": [0.5],
+    }
+    config = config_from_json(obj)
+    assert (config.design.n, config.design.p, config.coefficients.p) == (30, 8, 8)
+    echoed = config_to_json(config)  # as an output header writes it
+    assert echoed["design"]["n"] == 30
+    assert echoed["design"]["p"] == echoed["coefficients"]["p"] == 8
+    for design_size in ({"n": 5}, {"p": 9}, {"n": 30, "p": 7}):
+        with pytest.raises(ValueError, match="30 rows and 8 columns"):
+            config_from_json({**obj, "design": {**obj["design"], **design_size}})
+    with pytest.raises(ValueError, match="8 columns"):
+        config_from_json({**obj, "coefficients": {**obj["coefficients"], "p": 9}})
+    assert config_from_json({**obj, "design": {**obj["design"], "n": 30, "p": 8}}) == config
 
 
 def test_prior_from_json_kinds_and_errors():

@@ -271,7 +271,7 @@ def test_stop_outside_support():
     assert path.events[-1].variable == 2
     res = first_false_rank(path, [0, 1])
     assert (res.rank, res.censored) == (2, False)
-    for bad in ([0, -1], [0, 3], [0.5]):
+    for bad in ([0, -1], [0, 3], [0.5], [True, 2]):  # True would read as variable 1
         with pytest.raises(ValueError, match="stop_outside_support"):
             lasso_path(X, y, stop_outside_support=bad)
     # an empty stop set stops at the first entry; the full range never stops
