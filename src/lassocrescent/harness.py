@@ -100,8 +100,19 @@ class DesignSpec:
                 raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
             if self.structure not in ("toeplitz", "equicorrelation"):
                 raise ValueError(f"unknown correlation structure {self.structure!r}")
-        if self.kind == "genotype_file" and not (isinstance(self.path, str) and self.path):
-            raise ValueError(f"genotype_file design needs a file path, got {self.path!r}")
+        if self.kind == "genotype_file":
+            if not (isinstance(self.path, str) and self.path):
+                raise ValueError(f"genotype_file design needs a file path, got {self.path!r}")
+            # a file present here gives n and p; a missing one fails in every replicate
+            if os.path.isfile(self.path):
+                n, p = load_design_file(self.path).shape
+                if (self.n or n, self.p or p) != (n, p):
+                    raise ValueError(
+                        f"design n = {self.n}, p = {self.p} disagree with the {n} rows and "
+                        f"{p} columns of {self.path}"
+                    )
+                object.__setattr__(self, "n", n)
+                object.__setattr__(self, "p", p)
         if self.variance_scale is not None and not 0 < self.variance_scale < math.inf:
             raise ValueError(f"variance_scale must be finite and > 0, got {self.variance_scale}")
 
@@ -188,7 +199,7 @@ class ExperimentConfig:
             raise ValueError("replicates must be positive")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        # a genotype file's p is 0 until config_from_json reads it from the file
+        # only a genotype file missing at construction leaves design.p = 0
         if self.design.p and self.coefficients.p != self.design.p:
             raise ValueError(
                 f"coefficients.p = {self.coefficients.p} disagrees with the "
@@ -591,21 +602,12 @@ def fields_from_json(cls, obj, name, **defaults):
 
 def config_from_json(obj):
     """ExperimentConfig from a parsed JSON object or its text; ``coefficients.p``
-    defaults to ``design.p``.  A genotype file present here gives ``design.n``
-    and ``design.p``, which the config may leave out but not contradict."""
+    defaults to ``design.p``, which a genotype file present here gives (see
+    ``DesignSpec``)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     kwargs = fields_from_json(ExperimentConfig, obj, "config")
     design = DesignSpec(**fields_from_json(DesignSpec, kwargs["design"], "design"))
-    # a file missing here is left to fail in every replicate
-    if design.kind == "genotype_file" and os.path.isfile(design.path):
-        n, p = load_design_file(design.path).shape
-        if (design.n or n, design.p or p) != (n, p):
-            raise ValueError(
-                f"design n = {design.n}, p = {design.p} disagree with the {n} rows and "
-                f"{p} columns of {design.path}"
-            )
-        design = dataclasses.replace(design, n=n, p=p)
     coefficients = CoefficientSpec(
         **fields_from_json(CoefficientSpec, kwargs["coefficients"], "coefficients", p=design.p)
     )

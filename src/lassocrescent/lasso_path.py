@@ -102,7 +102,6 @@ class PathEvent:
 @dataclass(frozen=True)
 class LassoPath:
     events: list
-    y_norm: float
     lambda_max: float
     lambda_min_valid: float
     p: int
@@ -293,7 +292,6 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
         if len(allowed) == p:
             allowed = None
 
-    y_norm = float(np.linalg.norm(y))
     xty = c = X.T @ y
     lam = float(np.max(np.abs(c)))
     if lambda_floor is None:
@@ -303,7 +301,6 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
     if lam <= 0.0 or lam <= lambda_floor:
         return LassoPath(
             events=[],
-            y_norm=y_norm,
             lambda_max=lam,
             lambda_min_valid=lam,
             p=p,
@@ -422,7 +419,6 @@ def lasso_path(X, y, *, lambda_floor=None, max_active=None, stop_outside_support
 
     return LassoPath(
         events=events,
-        y_norm=y_norm,
         lambda_max=float(events[0].lam),
         lambda_min_valid=float(lambda_min_valid),
         p=p,

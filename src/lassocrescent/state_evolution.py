@@ -417,7 +417,6 @@ def solve_alpha_given_lambda(prior, lam, shape):
 
 def tradeoff_point(prior, alpha, shape):
     """Asymptotic (TPP, FDP) of the Lasso calibrated at threshold alpha."""
-    _require_matching_sparsity(prior, shape)
     tau = solve_tau_given_alpha(prior, alpha, shape)
     tpp = _tpp_given_tau(prior, alpha, shape, tau)
     return tpp, _fdp_at(alpha, tpp, shape.epsilon)
@@ -474,12 +473,9 @@ class _CurveSolver:
 
     @cached_property
     def alpha_lo(self):
-        """``feasible_alpha_lo()``, found once per solver."""
-        return self.feasible_alpha_lo()
-
-    def feasible_alpha_lo(self):
-        """Smallest usable alpha: ``start``, just above the floor, pushed up to
-        where the calibrated penalty becomes positive (the penalty cut)."""
+        """Smallest usable alpha, found once per solver: ``start``, just above
+        the floor, pushed up to where the calibrated penalty becomes positive
+        (the penalty cut)."""
         if self.lam(self.start) > 0.0:
             return self.start
         root = self.alpha_at_lambda(0.0)

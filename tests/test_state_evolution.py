@@ -575,20 +575,25 @@ def test_feasible_alpha_lo_grows_to_positive_penalty():
     # the upward walk is driven by a stand-in penalty with its root at 5
     solver = _CurveSolver(PRIOR1, SHAPE)
     solver.lam = lambda a: a - 5.0
-    assert solver.feasible_alpha_lo() == 5.0 + 5e-9
+    assert solver.alpha_lo == 5.0 + 5e-9
+    solver = _CurveSolver(PRIOR1, SHAPE)
     solver.lam = lambda a: -1.0
     with pytest.raises(InfeasibleRegionError, match="never becomes positive"):
-        solver.feasible_alpha_lo()
+        solver.alpha_lo
 
 
 def test_curve_solver_finds_its_penalty_cut_once(monkeypatch):
     # the cut binds on both curves, and their 97 and 31 targets all start
     # from it: each solver finds it once
     solvers = []
-    find = _CurveSolver.feasible_alpha_lo
-    monkeypatch.setattr(
-        _CurveSolver, "feasible_alpha_lo", lambda self: solvers.append(self) or find(self)
-    )
+    find = _CurveSolver.alpha_at_lambda
+
+    def counted(self, target):
+        if target == 0.0:  # the penalty cut's root
+            solvers.append(self)
+        return find(self, target)
+
+    monkeypatch.setattr(_CurveSolver, "alpha_at_lambda", counted)
     assert len(crescent(ModelShape(delta=0.5, epsilon=0.2), n_points=99)) == 97
     prior = DiscretePrior.from_levels(0.1, (1.0, 3.0, -8.0))  # golden curve_sigma05.csv
     assert len(tradeoff_curve(prior, ModelShape(0.5, 0.1, 0.5), 30).tpp) == 30
