@@ -840,14 +840,10 @@ def test_genotype_config_takes_n_and_p_from_its_file(tmp_path):
     with pytest.raises(ValueError, match="30 rows and 8 columns"):
         DesignSpec(kind="genotype_file", n=5, p=0, path=str(fpath))
     with pytest.raises(ValueError, match="8 columns"):
-        ExperimentConfig(
+        dataclasses.replace(
+            config,
             design=DesignSpec(kind="genotype_file", n=0, p=0, path=str(fpath)),
             coefficients=CoefficientSpec(kind="equal", p=10, magnitude=5.0, k=2),
-            sigma=0.0,
-            replicates=1,
-            seed=0,
-            mode="tradeoff",
-            tpp_grid=(0.5,),
         )
 
 
