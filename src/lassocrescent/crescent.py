@@ -99,7 +99,7 @@ def _lower_u(t, shape):
 
 
 @lru_cache(maxsize=256)
-def _lower_end_cached(delta, epsilon):
+def _lower_end(shape):
     # (t_cut, u(t_cut)): the lower edge is u(t) on [t_cut, inf), where u <= 1
     # (t above the noiseless floor) and the penalty factor along u(t) is >= 0.
     # At the floor u = 1, and the factor there, 1 - (eps + 2(1-eps) Phi(-t)) /
@@ -107,7 +107,6 @@ def _lower_end_cached(delta, epsilon):
     # transition, where the floor is 0 and the factor tends to
     # (delta - 1) / (2 delta) as t -> 0+), it is 1 - 1/3601 > 0 at t = 60, and
     # t_cut is its one root between
-    shape = ModelShape(delta, epsilon)
     floor = noiseless_alpha_floor(shape)
     if _penalty_factor(floor, 1.0, shape) >= 0.0:
         return floor, 1.0
@@ -127,7 +126,7 @@ def u_star(shape):
     phase-transition sparsity.  ``t_delta`` raises above it; at u* < 1
     itself the factor is 0 to rounding, and may round below it.
     """
-    return _lower_end_cached(shape.delta, shape.epsilon)[1]
+    return _lower_end(shape)[1]
 
 
 def _check_lower_point(t, u, shape):
@@ -165,7 +164,7 @@ def t_delta(u, shape):
         if root == math.inf:  # no finite double: the limit, where the FDP is 0
             return root
     else:
-        cut, top = _lower_end_cached(shape.delta, shape.epsilon)
+        cut, top = _lower_end(shape)
         if u > top:
             raise InfeasibleRegionError(
                 f"u = {u} lies past the lower edge's end u* = {top!r} for {shape}: "

@@ -232,11 +232,6 @@ def _require_matching_sparsity(prior, shape):
 
 
 @lru_cache(maxsize=256)
-def _alpha_min_cached(delta):
-    # unique root of mse_null(a) = delta on (0, inf); mse_null decreases 1 -> 0
-    return brentq(lambda a: mse_null(a) - delta, 0.0, 40.0)
-
-
 def alpha_min(shape):
     """Smallest normalized threshold at which the null equation is solvable.
 
@@ -246,7 +241,8 @@ def alpha_min(shape):
     """
     if shape.delta >= 1.0:
         return 0.0
-    return _alpha_min_cached(shape.delta)
+    # unique root on (0, inf); mse_null decreases 1 -> 0
+    return brentq(lambda a: mse_null(a) - shape.delta, 0.0, 40.0)
 
 
 def _null_excess(alpha, shape):
@@ -256,11 +252,22 @@ def _null_excess(alpha, shape):
 
 
 @lru_cache(maxsize=256)
-def _noiseless_floor_cached(delta, eps):
-    shape = ModelShape(delta=delta, epsilon=eps, sigma=0.0)
+def noiseless_alpha_floor(shape):
+    """Largest root of N(alpha) = 0, or 0 when N > 0 everywhere.
+
+    With sigma = 0 the first calibration equation is solvable exactly for
+    alpha above this floor; as alpha decreases to it, tau -> 0 and the
+    asymptotic TPP increases to 1.  Where N(60) <= 0 the root lies above 60,
+    where N(alpha) = eps (1 + alpha^2) - delta in double, and is
+    sqrt(delta/eps - 1).  Otherwise N, which is convex, is negative
+    somewhere exactly where it is at its minimiser t_m, the root of N' on
+    [0, 60], and then the root is bracketed by [t_m, 60].  Raises
+    ``ConvergenceError`` only where delta/eps overflows.
+    """
+    eps = shape.epsilon
     excess = lambda a: _null_excess(a, shape)
     if excess(_T_MAX) <= 0.0:
-        root = math.sqrt(delta / eps - 1.0)
+        root = math.sqrt(shape.delta / eps - 1.0)
         if not math.isfinite(root):
             raise ConvergenceError(f"noiseless floor sqrt(delta/eps - 1) overflows for {shape}")
         return root
@@ -274,22 +281,7 @@ def _noiseless_floor_cached(delta, eps):
     return brentq(excess, t_m, _T_MAX)
 
 
-def noiseless_alpha_floor(shape):
-    """Largest root of N(alpha) = 0, or 0 when N > 0 everywhere.
-
-    With sigma = 0 the first calibration equation is solvable exactly for
-    alpha above this floor; as alpha decreases to it, tau -> 0 and the
-    asymptotic TPP increases to 1.  Where N(60) <= 0 the root lies above 60,
-    where N(alpha) = eps (1 + alpha^2) - delta in double, and is
-    sqrt(delta/eps - 1).  Otherwise N, which is convex, is negative
-    somewhere exactly where it is at its minimiser t_m, the root of N' on
-    [0, 60], and then the root is bracketed by [t_m, 60].  Raises
-    ``ConvergenceError`` only where delta/eps overflows.
-    """
-    return _noiseless_floor_cached(shape.delta, shape.epsilon)
-
-
-def admissible_alpha_lower(prior, shape):
+def admissible_alpha_lower(shape):
     """Infimum of thresholds alpha at which (tau, lambda) can be calibrated."""
     lo = alpha_min(shape)
     if shape.sigma == 0.0:
@@ -443,7 +435,7 @@ class _CurveSolver:
         _require_matching_sparsity(prior, shape)
         self.prior = prior
         self.shape = shape
-        self.floor = admissible_alpha_lower(prior, shape)
+        self.floor = admissible_alpha_lower(shape)
         self.start = self.floor + max(1e-7, 1e-7 * self.floor)
         self._tau_cache = {}
         self._hint = None

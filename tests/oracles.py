@@ -13,9 +13,10 @@ on the same inputs: the path solver's level pass against its first form
 damped fixed-point iteration over the library's t_delta, and the grid FDP
 lookup against a scan of every event per grid point.  The path solver's
 solutions are also checked against the fixed point of approximate message
-passing.  The noiseless floor, alpha_min and the calibrated magnitude of a
-one-atom prior have 40-digit references in mpmath, from the integrals that
-define mse_null and mse_signal.
+passing and against the Lasso's KKT conditions (``kkt_violation``).  The
+noiseless floor, alpha_min and the calibrated magnitude of a one-atom prior
+have 40-digit references in mpmath, from the integrals that define mse_null
+and mse_signal.
 """
 
 import math
@@ -30,6 +31,7 @@ from scipy.stats import norm
 
 from lassocrescent.crescent import q_delta, t_delta
 from lassocrescent.gauss import _cdf
+from lassocrescent.lasso_path import residual_correlations
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -477,6 +479,16 @@ def cd_lasso(X, y, lam, beta0=None, tol=1e-12, max_sweeps=200000):
             if primal - dual <= tol * max(1.0, primal):
                 return beta
     raise RuntimeError("coordinate descent did not converge")
+
+
+def kkt_violation(X, y, beta, lam):
+    """Worst violation of the subgradient conditions at (beta, lam)."""
+    c = residual_correlations(X, y, beta)
+    worst = np.max(np.abs(c)) - lam  # no correlation may exceed lam
+    active = np.abs(beta) > 1e-12
+    if np.any(active):
+        worst = max(worst, np.max(np.abs(c[active] - lam * np.sign(beta[active]))))
+    return max(worst, 0.0)
 
 
 def amp_lasso(X, y, theta, max_iter=2000):

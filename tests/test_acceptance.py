@@ -33,7 +33,6 @@ from lassocrescent import (
     mse_signal,
     q_delta,
     q_nabla,
-    residual_correlations,
     run_rank_experiment,
     run_tradeoff_experiment,
     soft_threshold,
@@ -42,7 +41,7 @@ from lassocrescent import (
     tradeoff_curve,
 )
 
-from oracles import cd_lasso, quad_excess, quad_ms
+from oracles import cd_lasso, kkt_violation, quad_excess, quad_ms
 
 SHAPE = ModelShape(delta=1.0, epsilon=0.2, sigma=0.0)
 DESIGN_1000 = DesignSpec(kind="iid_gaussian", n=1000, p=1000)
@@ -56,15 +55,6 @@ def _read_table(path):
     columns = body[0].split(",")
     rows = [ln.split(",") for ln in body[1:]]
     return columns, rows
-
-
-def _kkt_violation(X, y, beta, lam):
-    c = residual_correlations(X, y, beta)
-    worst = np.max(np.abs(c)) - lam
-    active = np.abs(beta) > 1e-12
-    if np.any(active):
-        worst = max(worst, np.max(np.abs(c[active] - lam * np.sign(beta[active]))))
-    return max(worst, 0.0)
 
 
 def test_criterion_01_boundary_command(tmp_path):
@@ -171,7 +161,7 @@ def test_criterion_05_path_certificates():
         path = lasso_path(X, y)
         for ev in path.events:
             beta_hat = coefficients_at(path, ev.lam)
-            worst_kkt = max(worst_kkt, _kkt_violation(X, y, beta_hat, ev.lam))
+            worst_kkt = max(worst_kkt, kkt_violation(X, y, beta_hat, ev.lam))
         lam_lo = max(path.lambda_min_valid, 1e-3 * path.lambda_max)
         for lam in np.linspace(0.9 * path.lambda_max, 1.01 * lam_lo, 5):
             ours = coefficients_at(path, lam)

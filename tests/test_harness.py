@@ -241,6 +241,8 @@ def test_coefficient_validation():
         CoefficientSpec(kind="fixed_levels", p=5, values=(1.0,), counts=(1, 2))
     with pytest.raises(ValueError):
         CoefficientSpec(kind="fixed_levels", p=5, values=(1.0, 2.0), counts=(3, 3))
+    with pytest.raises(ValueError, match="counts must be positive"):
+        CoefficientSpec(kind="fixed_levels", p=5, values=(1.0, 2.0), counts=(1, 0))
     with pytest.raises(ValueError):
         CoefficientSpec(kind="prior_sample", p=5)
     for magnitude in (float("nan"), float("inf"), "2"):
@@ -813,6 +815,9 @@ def test_config_from_json_error_reporting():
     for seed in (-1, 1.5):
         with pytest.raises(ValueError, match="seed"):
             _tiny_tradeoff_config(seed=seed)
+    for grid in ((0.5, 0.3), (1.5,)):
+        with pytest.raises(ValueError, match=r"nondecreasing tuple inside \[0, 1\]"):
+            _tiny_tradeoff_config(tpp_grid=grid)
 
 
 def test_genotype_config_takes_n_and_p_from_its_file(tmp_path):
@@ -845,6 +850,24 @@ def test_genotype_config_takes_n_and_p_from_its_file(tmp_path):
             design=DesignSpec(kind="genotype_file", n=0, p=0, path=str(fpath)),
             coefficients=CoefficientSpec(kind="equal", p=10, magnitude=5.0, k=2),
         )
+
+
+def test_genotype_file_is_parsed_once_per_version(tmp_path, monkeypatch):
+    fpath = tmp_path / "geno.csv"
+    np.savetxt(fpath, np.random.default_rng(8).integers(0, 3, size=(30, 8)), delimiter=",")
+    parsed = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: parsed.append(a[0]) or loadtxt(*a, **kw))
+    design = DesignSpec(kind="genotype_file", n=0, p=0, path=str(fpath))
+    draws = [sample_design(design, np.random.default_rng(r)) for r in range(3)]
+    assert len(parsed) == 1
+    assert [x.shape for x in draws] == [(30, 8)] * 3
+    assert np.array_equal(draws[1], sample_design(design, np.random.default_rng(1)))
+    # a rewritten file, here of another size, is a new version and is read again
+    np.savetxt(fpath, np.random.default_rng(9).integers(0, 3, size=(30, 9)), delimiter=",")
+    design = DesignSpec(kind="genotype_file", n=0, p=0, path=str(fpath))
+    assert (design.p, sample_design(design, np.random.default_rng(0)).shape) == (9, (30, 9))
+    assert len(parsed) == 2
 
 
 def test_prior_from_json_kinds_and_errors():

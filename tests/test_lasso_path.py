@@ -16,7 +16,6 @@ from lassocrescent import (
     first_false_rank,
     lasso_path,
     replicate_rng,
-    residual_correlations,
     sample_coefficients,
     sample_design,
     soft_threshold,
@@ -24,7 +23,7 @@ from lassocrescent import (
 )
 
 from lassocrescent.lasso_path import _DELETE_BLOCK, _inv_append, _inv_delete, _levels, _slot_to_end
-from oracles import amp_lasso, cd_lasso, path_levels
+from oracles import amp_lasso, cd_lasso, kkt_violation, path_levels
 
 
 def _random_instance(rng, n=20, p=10, k=3, sigma=0.5):
@@ -33,16 +32,6 @@ def _random_instance(rng, n=20, p=10, k=3, sigma=0.5):
     beta[rng.choice(p, size=k, replace=False)] = rng.normal(scale=3.0, size=k)
     y = X @ beta + sigma * rng.normal(size=n)
     return X, y
-
-
-def _kkt_violation(X, y, beta, lam):
-    """Worst violation of the subgradient conditions at (beta, lam)."""
-    c = residual_correlations(X, y, beta)
-    worst = np.max(np.abs(c)) - lam  # no correlation may exceed lam
-    active = np.abs(beta) > 1e-12
-    if np.any(active):
-        worst = max(worst, np.max(np.abs(c[active] - lam * np.sign(beta[active]))))
-    return max(worst, 0.0)
 
 
 def test_kkt_certificates_along_random_paths():
@@ -54,12 +43,12 @@ def test_kkt_certificates_along_random_paths():
         assert np.all(np.diff(lams) < 0)
         for ev in path.events:
             beta = coefficients_at(path, ev.lam)
-            assert _kkt_violation(X, y, beta, ev.lam) < 1e-8
+            assert kkt_violation(X, y, beta, ev.lam) < 1e-8
         # also between breakpoints
         for a, b in zip(lams[:-1], lams[1:]):
             mid = 0.5 * (a + b)
             beta = coefficients_at(path, mid)
-            assert _kkt_violation(X, y, beta, mid) < 1e-8
+            assert kkt_violation(X, y, beta, mid) < 1e-8
 
 
 def test_first_event_is_max_correlation():
@@ -191,6 +180,9 @@ def test_lambda_floor_stop():
     # asking below the computed range is an error
     with pytest.raises(ValueError):
         coefficients_at(path, 1e-6 * floor)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            coefficients_at(path, bad)
     for bad in (np.nan, -1.0, -np.inf):
         with pytest.raises(ValueError):
             lasso_path(X, y, lambda_floor=bad)
@@ -245,7 +237,7 @@ def test_kkt_at_every_event_of_a_path_with_many_drops(drops_instance):
     X, y, _, path = drops_instance
     limit = 1e-8 * max(1.0, path.lambda_max)
     for ev in path.events:
-        assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
+        assert kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
 
 
 def test_first_false_rank_toys():
@@ -355,6 +347,11 @@ def test_finiteness_check():
     Xb[:, 7] = 1e300
     with np.errstate(over="ignore"), pytest.raises(DegenerateDesignError):
         lasso_path(Xb, y)
+    # and of the right shapes
+    with pytest.raises(ValueError, match=r"X must be 2-d, got shape \(3000,\)"):
+        lasso_path(X[0], y)
+    with pytest.raises(ValueError, match="y has length 29, expected 30"):
+        lasso_path(X, y[:-1])
 
 
 def test_zero_column_rejected():
@@ -377,7 +374,7 @@ def test_duplicate_columns_still_solve():
     path = lasso_path(X, y)
     for ev in path.events:
         coef = coefficients_at(path, ev.lam)
-        assert _kkt_violation(X, y, coef, ev.lam) < 1e-8
+        assert kkt_violation(X, y, coef, ev.lam) < 1e-8
         assert not {0, 5} <= set(ev.active_set)
     # a copy's correlation moves with its original's, at the same rate as the
     # penalty level once the original is active; rounding alone must not let
@@ -392,7 +389,7 @@ def test_duplicate_columns_still_solve():
         path = lasso_path(X, y)
         limit = 1e-8 * max(1.0, path.lambda_max)
         for ev in path.events:
-            assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
+            assert kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
 
 
 def test_tied_variables_enter_in_zero_length_steps():
@@ -422,7 +419,7 @@ def test_drop_before_add_in_one_tie_window():
     lams = [ev.lam for ev in path.events]
     assert lams == pytest.approx([6.0, 40.0 / 11.0, 2.0, 2.0, 2.0], rel=1e-14)
     for ev in path.events:
-        assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < 1e-12
+        assert kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < 1e-12
 
 
 def _level_inputs(rng, p=300, k=30):
@@ -597,7 +594,7 @@ def test_path_handles_drops():
             seen_drop = True
             for ev in path.events:
                 coef = coefficients_at(path, ev.lam)
-                assert _kkt_violation(X, y, coef, ev.lam) < 1e-8
+                assert kkt_violation(X, y, coef, ev.lam) < 1e-8
             break
     assert seen_drop, "no drop event in 40 correlated instances"
 
@@ -619,7 +616,7 @@ def test_dropped_variable_does_not_reenter_at_next_event():
     assert path.events[233].variable != 548
     limit = 1e-8 * max(1.0, path.lambda_max)
     for ev in path.events:
-        assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
+        assert kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
 
 
 def _stress_instance(n, p, entries, columns, response, seed):
@@ -672,7 +669,7 @@ def test_path_kkt_and_cd_agreement_under_stress(n, p, entries, columns, response
         raise
     limit = 1e-8 * max(1.0, path.lambda_max)
     for ev in path.events:
-        assert _kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
+        assert kkt_violation(X, y, coefficients_at(path, ev.lam), ev.lam) < limit
     if not path.events:
         assert not np.any(X.T @ y)
         return

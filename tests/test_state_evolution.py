@@ -40,6 +40,7 @@ from lassocrescent import (
     u_star,
     varsigma,
 )
+from lassocrescent import state_evolution
 from lassocrescent.state_evolution import _CurveSolver
 
 from oracles import (
@@ -92,6 +93,8 @@ def test_prior_validation():
         DiscretePrior.from_levels(0.2, (1.0, 2.0), (0.5,))  # length mismatch
     with pytest.raises(ValueError):
         DiscretePrior.from_levels(0.2, (1.0, 2.0), (0.5, -0.5))  # negative weight
+    with pytest.raises(ValueError, match="probabilities sum to 0.8, expected 1"):
+        DiscretePrior(atoms=((1.0, 0.3),), null_mass=0.5)
     with pytest.raises(ValueError):
         DiscretePrior.heterogeneous(0.2, 0, 10.0)
     with pytest.raises(ValueError, match="overflows"):
@@ -162,17 +165,12 @@ def test_noiseless_alpha_floor():
     assert above > 1.0
 
     sh_b = ModelShape(delta=0.8, epsilon=1.0 / 6.0, sigma=0.0)
-    prior_b = DiscretePrior.homogeneous(1.0 / 6.0, 1.0)
     assert noiseless_alpha_floor(sh_b) == pytest.approx(1.9311886718745748, abs=1e-10)
     assert alpha_min(sh_b) == pytest.approx(0.1366001655354425, abs=1e-10)
-    assert admissible_alpha_lower(prior_b, sh_b) == pytest.approx(
-        1.9311886718745748, abs=1e-10
-    )
+    assert admissible_alpha_lower(sh_b) == pytest.approx(1.9311886718745748, abs=1e-10)
     # with noise the floor no longer binds
     sh_noisy = ModelShape(delta=0.8, epsilon=1.0 / 6.0, sigma=0.5)
-    assert admissible_alpha_lower(prior_b, sh_noisy) == pytest.approx(
-        alpha_min(sh_noisy), abs=1e-12
-    )
+    assert admissible_alpha_lower(sh_noisy) == pytest.approx(alpha_min(sh_noisy), abs=1e-12)
 
     # a floor above 60: mse_null underflows to 0 there, so the floor is
     # sqrt(delta/eps - 1)
@@ -339,7 +337,7 @@ def test_tau_solve_returns_root_or_raises(log_atoms, sigma, delta, epsilon, log1
     # lower bound: either a root that passes the residual check or a clean error
     prior = DiscretePrior.from_levels(epsilon, sorted({math.exp(x) for x in log_atoms}))
     shape = ModelShape(delta=delta, epsilon=epsilon, sigma=sigma)
-    alpha = admissible_alpha_lower(prior, shape) + 10.0**log10_gap
+    alpha = admissible_alpha_lower(shape) + 10.0**log10_gap
     try:
         tau = solve_tau_given_alpha(prior, alpha, shape)
     except (InfeasibleRegionError, ConvergenceError):
@@ -353,9 +351,30 @@ def test_tau_solve_past_square_overflow_raises_convergence_error():
     # to make a nan that brentq reported as invalid input (ValueError)
     prior = DiscretePrior.from_levels(0.565, [9.78e103])
     shape = ModelShape(delta=1.32e262, epsilon=0.565, sigma=1.6e-298)
-    alpha = admissible_alpha_lower(prior, shape) + 3.4e-8
+    alpha = admissible_alpha_lower(shape) + 3.4e-8
     with pytest.raises(ConvergenceError), np.errstate(over="ignore"):
         solve_tau_given_alpha(prior, alpha, shape)
+
+
+def test_brentq_names_its_bracket_and_passes_solver_errors(monkeypatch):
+    import scipy.optimize
+
+    def fails(f, a, b, **kw):
+        raise RuntimeError("Failed to converge after 200 iterations.")
+
+    monkeypatch.setattr(scipy.optimize, "brentq", fails)
+    with pytest.raises(ConvergenceError, match=r"brentq on \[0.0, 1.0\]: Failed to converge"):
+        state_evolution.brentq(lambda x: x - 0.5, 0.0, 1.0)
+    # an error of f, itself a RuntimeError, is passed on as f raised it
+    monkeypatch.setattr(scipy.optimize, "brentq", lambda f, a, b, **kw: f(a))
+    raised = InfeasibleRegionError("below the floor")
+
+    def infeasible(x):
+        raise raised
+
+    with pytest.raises(InfeasibleRegionError) as info:
+        state_evolution.brentq(infeasible, 0.0, 1.0)
+    assert info.value is raised
 
 
 def test_equation_residuals_vanish_at_solution():
@@ -741,7 +760,7 @@ def _theory_calls(draw):
     floored = near_floor or threshold
 
     def alpha(on):  # the drawn threshold, or one just above the admissible floor
-        return admissible_alpha_lower(prior, on) + gap if near_floor else a
+        return admissible_alpha_lower(on) + gap if near_floor else a
 
     point = StateEvolutionPoint(alpha=a, tau=tau, lam=x, shape=shape)
     return {
@@ -753,7 +772,7 @@ def _theory_calls(draw):
         "mse_signal": (lambda: mse_signal(x, a), real and threshold),
         "alpha_min": (lambda: alpha_min(shape), True),
         "noiseless_alpha_floor": (lambda: noiseless_alpha_floor(shape), True),
-        "admissible_alpha_lower": (lambda: admissible_alpha_lower(prior, shape), True),
+        "admissible_alpha_lower": (lambda: admissible_alpha_lower(shape), True),
         "solve_tau_given_alpha": (
             lambda: solve_tau_given_alpha(prior, alpha(shape), shape), floored
         ),
