@@ -105,7 +105,7 @@ class DesignSpec:
                 raise ValueError(f"genotype_file design needs a file path, got {self.path!r}")
             # a file present here gives n and p; a missing one fails in every replicate
             if os.path.isfile(self.path):
-                n, p = _design_matrix(*_file_version(self.path)).shape
+                n, p = load_design_file(self.path).shape
                 if (self.n or n, self.p or p) != (n, p):
                     raise ValueError(
                         f"design n = {self.n}, p = {self.p} disagree with the {n} rows and "
@@ -270,23 +270,6 @@ def load_design_file(path):
     return mat
 
 
-def _file_version(path):
-    """(absolute path, (mtime in ns, size)): the key under which
-    ``_design_matrix`` holds the file's parse."""
-    st = os.stat(path)
-    return os.path.abspath(path), (st.st_mtime_ns, st.st_size)
-
-
-@functools.lru_cache(maxsize=2)
-def _design_matrix(abspath, version):
-    """``load_design_file(abspath)``, read-only, parsed once per process and
-    file ``version``: a spec's construction and each of its replicates share
-    it, and a rewritten file is read again."""
-    mat = load_design_file(abspath)
-    mat.flags.writeable = False
-    return mat
-
-
 def sample_design(spec, rng):
     """Draw a design matrix according to ``spec`` using generator ``rng``.
 
@@ -320,7 +303,7 @@ def sample_design(spec, rng):
         return x
     # genotype_file: real matrix, jittered to break exact duplicates, then
     # columns centered and rescaled to match the synthetic normalization
-    mat = _design_matrix(*_file_version(spec.path))
+    mat = load_design_file(spec.path)
     n, p = mat.shape
     jitter_scale = spec.variance_scale if spec.variance_scale is not None else 1.0 / n
     mat = mat + rng.normal(0.0, math.sqrt(jitter_scale), size=mat.shape)

@@ -852,24 +852,6 @@ def test_genotype_config_takes_n_and_p_from_its_file(tmp_path):
         )
 
 
-def test_genotype_file_is_parsed_once_per_version(tmp_path, monkeypatch):
-    fpath = tmp_path / "geno.csv"
-    np.savetxt(fpath, np.random.default_rng(8).integers(0, 3, size=(30, 8)), delimiter=",")
-    parsed = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: parsed.append(a[0]) or loadtxt(*a, **kw))
-    design = DesignSpec(kind="genotype_file", n=0, p=0, path=str(fpath))
-    draws = [sample_design(design, np.random.default_rng(r)) for r in range(3)]
-    assert len(parsed) == 1
-    assert [x.shape for x in draws] == [(30, 8)] * 3
-    assert np.array_equal(draws[1], sample_design(design, np.random.default_rng(1)))
-    # a rewritten file, here of another size, is a new version and is read again
-    np.savetxt(fpath, np.random.default_rng(9).integers(0, 3, size=(30, 9)), delimiter=",")
-    design = DesignSpec(kind="genotype_file", n=0, p=0, path=str(fpath))
-    assert (design.p, sample_design(design, np.random.default_rng(0)).shape) == (9, (30, 9))
-    assert len(parsed) == 2
-
-
 def test_prior_from_json_kinds_and_errors():
     hom = prior_from_json({"kind": "homogeneous", "epsilon": 0.25, "magnitude": 3.0})
     assert hom.values.tolist() == [3.0]
